@@ -8,7 +8,7 @@ from __future__ import annotations
 import datetime
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .trees import radial_spectrum
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 SUPPORT_EPS = 1e-12
+RESIDUAL_TOL = 1e-10     # max |A nu - lambda nu| of a certified eigenvector
 
 
 def girth_bound(d: int, r: int) -> int:
@@ -106,6 +107,15 @@ class Certificate:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
+        """Certificate from its JSON object; raises ValueError when a key
+        is unknown or missing, at the top level or in a localized record."""
+        _check_keys(cls, data, "certificate")
+        if not isinstance(data["localized"], list):
+            raise ValueError("certificate: 'localized' must be a list")
+        for i, rec in enumerate(data["localized"]):
+            _check_keys(LocalizedRecord, rec, f"localized[{i}]")
+        if not isinstance(data["checks"], dict):
+            raise ValueError("certificate: 'checks' must be an object")
         recs = [LocalizedRecord(**r) for r in data["localized"]]
         kw = {k: v for k, v in data.items() if k != "localized"}
         return cls(localized=recs, **kw)
@@ -114,6 +124,18 @@ class Certificate:
     def load(cls, path) -> "Certificate":
         with open(path, "r", encoding="utf-8") as fh:
             return cls.from_dict(json.load(fh))
+
+
+def _check_keys(cls, data, where: str) -> None:
+    if not isinstance(data, dict):
+        raise ValueError(f"{where}: expected a JSON object")
+    expected = {f.name for f in fields(cls)}
+    unknown = sorted(set(data) - expected)
+    missing = sorted(expected - set(data))
+    if unknown:
+        raise ValueError(f"{where}: unknown keys {', '.join(unknown)}")
+    if missing:
+        raise ValueError(f"{where}: missing keys {', '.join(missing)}")
 
 
 def _site_dict(site) -> dict:
@@ -128,7 +150,7 @@ def _site_dict(site) -> dict:
     }
 
 
-def build_certificate(sg: ScarredGraph, residual_tol: float = 1e-10,
+def build_certificate(sg: ScarredGraph, residual_tol: float = RESIDUAL_TOL,
                       seed: int = 0, timestamp: bool = True) -> Certificate:
     """Measure every certified quantity of a scarred graph; failures are
     recorded in the checks map, never raised."""
@@ -211,7 +233,10 @@ class VerificationReport:
 def verify_certificate(g: Graph, cert: Certificate,
                        spectral_tol: float = 1e-7) -> VerificationReport:
     """Recompute every certified quantity from the graph and diff it against
-    the certificate; each mismatch is itemized."""
+    the certificate; each mismatch is itemized.  Eigenvector residuals are
+    judged against the fixed RESIDUAL_TOL, never against a tolerance the
+    certificate records, and a check the certificate records as failed
+    fails the verification too."""
     items = []
 
     def check(name, ok, detail=""):
@@ -242,12 +267,14 @@ def verify_certificate(g: Graph, cert: Certificate,
             norm = np.linalg.norm(nu)
             res = g.csr() @ nu - rec.eigenvalue * nu
             rinf = float(np.abs(res).max())
-            ok = (abs(norm - 1.0) <= 1e-9
-                  and rinf <= max(2 * rec.residual_inf, 1e-10))
+            ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL
             wit = float(np.sum(nu[np.array(rec.support, np.int64)] ** 2)
                         - len(rec.support) / g.n)
             ok = ok and abs(wit - rec.witness_value) <= 1e-12
             check(f"localized_{i}", ok,
                   f"lambda={rec.eigenvalue!r} residual={rinf:.2e}")
+    failed = sorted(name for name, ok in cert.checks.items() if ok is not True)
+    check("recorded_checks", not failed,
+          f"recorded as failed: {', '.join(failed)}" if failed else "")
     passed = all(it.ok for it in items)
     return VerificationReport(items, passed)

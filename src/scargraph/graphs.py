@@ -7,6 +7,15 @@ form (an offset array plus one flat, per-vertex-sorted neighbor array) so
 traversals stay cache friendly; Python adjacency lists and a scipy sparse
 matrix are derived lazily and cached.  A :class:`Graph` is immutable after
 construction, so all queries are safe to run concurrently.
+
+Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
+kernel that counts non-backtracking walks for a chunk of sources at once,
+as sparse integer matrices: ``P_1 = A[S]``, ``P_2 = P_1 A - P_0 D`` and
+``P_(k+1) = P_k A - P_(k-1) (D - I)``, where row s of ``P_k`` counts the
+non-backtracking walks of length k from s to each vertex and D is the
+degree matrix.  Up to the first cycle near s these counts are the BFS
+spheres around s, so a whole chunk of per-vertex searches costs a few
+sparse products per level instead of a Python loop per edge.
 """
 
 from __future__ import annotations
@@ -157,46 +166,105 @@ def bfs_distances(g: Graph, source: int, cap: int | None = None) -> DistanceMap:
     return DistanceMap(source, dist, cap)
 
 
+# Entries one path-count matrix may hold per chunk of sources; the chunk is
+# this budget over the widest sphere the current cap lets a source reach.
+_CHUNK_ENTRIES = 1 << 18
+
+
+def _widest_sphere(n: int, max_degree: int, cap) -> int:
+    """Upper bound on the deepest sphere a search capped at ``cap`` reaches:
+    level (cap+1)//2 holds at most max_degree (max_degree-1)^(level-1)
+    vertices, and never more than n."""
+    if cap == INFINITE_GIRTH:
+        return n
+    width = max_degree
+    for _ in range((int(cap) + 1) // 2 - 1):
+        if width >= n:
+            break
+        width *= max_degree - 1
+    return max(1, min(n, width))
+
+
+def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
+    """For each source s, the first cycle length the non-backtracking path
+    counts from s reveal, or 0 where none is revealed up to length ``cap``.
+
+    While no cycle lies within distance k of s, row s of ``P_j`` (j <= k) is
+    the 0/1 indicator of the sphere at distance j: every non-backtracking
+    walk of length j from s is the unique geodesic to its endpoint.  A
+    level-k vertex then steps to its children and to its neighbours on
+    level k, and the recursion cancels the steps back to level k-1 exactly.
+    So ``P_(k+1)`` is supported on levels k and k+1, and
+
+    * it meets the support of ``P_k`` iff an edge joins two level-k
+      vertices, which closes a cycle of length 2k+1 through s's ball;
+    * an entry on level k+1 is the number of level-k neighbours of that
+      vertex, so an entry >= 2 closes a cycle of length 2k+2.
+
+    The odd test is made first, since an entry >= 2 on level k (two edges
+    inside level k) is also an odd cycle.  No shorter cycle was missed,
+    because each smaller length would have fired at an earlier level.  The
+    value is thus min over the non-tree edges (x, y) of the BFS from s of
+    dist(x) + dist(y) + 1: its minimum over s is the girth, and it is at
+    most 2R+1 iff the radius-R ball around s contains a cycle.  Counts stay
+    0/1 until the level where a source stops, so int32 cannot overflow.
+
+    Sources run in chunks sized from ``_CHUNK_ENTRIES``.  With ``shrink``
+    the cap drops to one below the shortest length found, after every level,
+    so later sources only look for shorter cycles and only the minimum of
+    the result is meaningful.
+    """
+    n = g.n
+    lengths = np.zeros(n, dtype=np.int64)
+    deg = g.degrees().astype(np.int32)
+    adj = sp.csr_matrix(
+        (np.ones(len(g.indices), dtype=np.int32), g.indices, g.indptr),
+        shape=(n, n))
+    max_degree = int(deg.max(initial=0))
+    start = 0
+    while start < n:
+        size = max(1, _CHUNK_ENTRIES // _widest_sphere(n, max_degree, cap))
+        rows = np.arange(start, min(n, start + size))
+        start = rows[-1] + 1
+        prev = sp.csr_matrix(
+            (np.ones(len(rows), dtype=np.int32), rows,
+             np.arange(len(rows) + 1)), shape=(len(rows), n))
+        cur = adj[rows]
+        k = 1
+        while cur.nnz and 2 * k + 1 <= cap:
+            back = prev.copy()
+            back.data *= deg[back.indices] - (1 if k > 1 else 0)
+            nxt = cur @ adj - back
+            odd = nxt.multiply(cur).getnnz(axis=1) > 0
+            even = np.zeros(len(rows), dtype=bool)
+            at = np.nonzero(nxt.data >= 2)[0]
+            even[np.searchsorted(nxt.indptr, at, side="right") - 1] = True
+            even &= ~odd
+            lengths[rows[even]] = 2 * k + 2
+            lengths[rows[odd]] = 2 * k + 1
+            hit = odd | even
+            if shrink and hit.any():
+                cap = min(cap, int(lengths[rows[hit]].min()) - 1)
+            keep = np.nonzero(~hit & (np.diff(nxt.indptr) > 0))[0]
+            prev, cur = cur, nxt
+            if len(keep) < len(rows):
+                prev, cur, rows = prev[keep], cur[keep], rows[keep]
+            k += 1
+    return lengths
+
+
 def girth(g: Graph):
     """Length of the shortest cycle; ``math.inf`` for forests.
 
-    Per-vertex truncated BFS: the first non-tree edge seen from source s
-    closes a walk of length dist[x]+dist[y]+1 which contains a cycle no
-    longer than that, and for s on a shortest cycle the bound is attained.
-    BFS from s is cut off once 2*dist exceeds the best cycle found so far,
-    so the worst case O(n*m) is only reached on forests.
+    The minimum over all sources of the first cycle length the
+    non-backtracking path counts reveal (see :func:`_first_cycle_lengths`),
+    which for s on a shortest cycle is that cycle's length.  Once a cycle
+    is found, later sources stop one level before they could only match
+    it, so the searches grow shallower as the bound tightens.
     """
-    adj = g.adjacency_lists()
-    n = g.n
-    best = INFINITE_GIRTH
-    dist = [0] * n
-    par = [-1] * n
-    seen = [-1] * n
-    for s in range(n):
-        seen[s] = s
-        dist[s] = 0
-        par[s] = -1
-        q = [s]
-        qi = 0
-        while qi < len(q):
-            x = q[qi]
-            qi += 1
-            dx = dist[x]
-            if 2 * dx >= best:
-                break
-            dx1 = dx + 1
-            px = par[x]
-            for y in adj[x]:
-                if seen[y] != s:
-                    seen[y] = s
-                    dist[y] = dx1
-                    par[y] = x
-                    q.append(y)
-                elif y != px:
-                    c = dx + dist[y] + 1
-                    if c < best:
-                        best = c
-    return int(best) if best < INFINITE_GIRTH else INFINITE_GIRTH
+    lengths = _first_cycle_lengths(g, INFINITE_GIRTH, shrink=True)
+    found = lengths[lengths > 0]
+    return int(found.min()) if found.size else INFINITE_GIRTH
 
 
 def shortest_cycle_through(g: Graph, v: int):
@@ -330,18 +398,14 @@ def vertex_expansion(g: Graph, S) -> Fraction:
 def bs_cycle_fraction(g: Graph, radius: int) -> Fraction:
     """Fraction of vertices whose radius-R ball contains a cycle.
 
-    The ball around v is connected, so it contains a cycle iff its induced
-    edge count reaches its vertex count.
+    The ball around v contains a cycle iff some non-tree edge of the BFS
+    from v has both ends within distance R, i.e. iff the first cycle length
+    the non-backtracking path counts from v reveal is at most 2R+1 (see
+    :func:`_first_cycle_lengths`).
     """
-    adj = g.adjacency_lists()
-    count = 0
-    for v in range(g.n):
-        dm = bfs_distances(g, v, cap=radius)
-        inside = np.nonzero(dm.dist >= 0)[0]
-        mask = dm.dist >= 0
-        twice_edges = sum(int(mask[y]) for x in inside for y in adj[int(x)])
-        if twice_edges // 2 >= len(inside):
-            count += 1
+    cap = 2 * radius + 1
+    lengths = _first_cycle_lengths(g, cap, shrink=False)
+    count = int(((lengths > 0) & (lengths <= cap)).sum())
     return Fraction(count, g.n) if g.n else Fraction(0, 1)
 
 

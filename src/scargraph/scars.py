@@ -108,9 +108,13 @@ def carve_site(h: Graph, u: int, r: int) -> ScarSite:
 def greedy_packing(g: Graph, min_dist: int) -> np.ndarray:
     """Greedy maximal set of vertices at pairwise distance >= min_dist.
 
-    Maximality makes every vertex fall within min_dist of the set, so on a
-    (d+1)-regular graph the set has at least m(d-1)/((d+1)d^min_dist)
-    members.
+    Each vertex keeps its distance to the nearest pick so far, capped at
+    min_dist; a vertex is picked when that distance reaches min_dist.  A
+    new pick relaxes the distances by BFS, which also passes through
+    vertices an earlier pick already reached, as long as the new pick is
+    closer to them.  Maximality makes every vertex fall within min_dist of
+    the set, so on a (d+1)-regular graph the set has at least
+    m(d-1)/((d+1)d^min_dist) members.
     """
     deg = is_regular(g)
     if deg is None:
@@ -118,21 +122,20 @@ def greedy_packing(g: Graph, min_dist: int) -> np.ndarray:
     if min_dist < 1:
         raise ValueError("min_dist must be at least 1")
     adj = g.adjacency_lists()
-    covered = np.zeros(g.n, dtype=bool)
+    dist = [min_dist] * g.n
     picks = []
     for v in range(g.n):
-        if covered[v]:
+        if dist[v] < min_dist:
             continue
         picks.append(v)
-        # cover the radius-(min_dist - 1) ball so later picks stay far
+        dist[v] = 0
         frontier = [v]
-        covered[v] = True
-        for _ in range(min_dist - 1):
+        for step in range(1, min_dist):
             nxt = []
             for x in frontier:
                 for y in adj[x]:
-                    if not covered[y]:
-                        covered[y] = True
+                    if dist[y] > step:
+                        dist[y] = step
                         nxt.append(y)
             frontier = nxt
     return np.array(picks, dtype=np.int64)

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -87,3 +88,55 @@ class TestVerifyCertificate:
         cert = build_certificate(mcgee_sg)
         text = verify_certificate(mcgee_sg.graph, cert).summary()
         assert "PASSED" in text
+
+    def test_residual_tolerance_does_not_come_from_the_certificate(
+            self, mcgee_sg):
+        # the normalized all-ones vector is no eigenvector for -1.5; a
+        # large recorded residual must not widen the verifier's tolerance
+        cert = build_certificate(mcgee_sg)
+        data = cert.to_dict()
+        M = cert.M
+        data["localized"][0].update(
+            eigenvalue=-1.5, support=list(range(M)),
+            values=[1 / math.sqrt(M)] * M, residual_inf=10.0,
+            residual_two=10.0, witness_value=0.0)
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        failed = [it.name for it in report.items if not it.ok]
+        assert failed == ["localized_0"]
+
+    def test_recorded_false_check_fails(self, mcgee_sg):
+        cert = build_certificate(mcgee_sg)
+        for name in cert.checks:
+            data = cert.to_dict()
+            data["checks"][name] = False
+            report = verify_certificate(mcgee_sg.graph,
+                                        Certificate.from_dict(data))
+            assert not report.passed, name
+            failed = [it for it in report.items if not it.ok]
+            assert [it.name for it in failed] == ["recorded_checks"]
+            assert name in failed[0].detail
+
+
+class TestCertificateSchema:
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda d: d.update(extra=1), "unknown keys extra"),
+        (lambda d: d.pop("girth"), "missing keys girth"),
+        (lambda d: d["localized"][0].update(extra=1),
+         r"localized\[0\]: unknown keys extra"),
+        (lambda d: d["localized"][0].pop("values"),
+         r"localized\[0\]: missing keys values"),
+        (lambda d: d.update(localized={}), "must be a list"),
+        (lambda d: d.update(checks=[]), "must be an object"),
+    ], ids=["top-unknown", "top-missing", "localized-unknown",
+            "localized-missing", "localized-not-list", "checks-not-object"])
+    def test_malformed_keys_rejected(self, mcgee_sg, edit, msg):
+        data = build_certificate(mcgee_sg).to_dict()
+        edit(data)
+        with pytest.raises(ValueError, match=msg):
+            Certificate.from_dict(data)
+
+    def test_non_object_rejected(self):
+        with pytest.raises(ValueError, match="JSON object"):
+            Certificate.from_dict([])

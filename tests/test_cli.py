@@ -113,3 +113,27 @@ class TestSubcommands:
         assert main(["base", "lps", "--p", "5", "--q", "13",
                      "--out", str(tmp_path / "h.edges")]) == 2
         assert main(["nonsense"]) == 2
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda d: d.update(extra=1), "unknown keys extra"),
+        (lambda d: d.pop("girth"), "missing keys girth"),
+        (lambda d: d["localized"][0].update(extra=1),
+         "localized[0]: unknown keys extra"),
+        (lambda d: d["localized"][0].pop("values"),
+         "localized[0]: missing keys values"),
+    ], ids=["top-unknown", "top-missing", "localized-unknown",
+            "localized-missing"])
+    def test_verify_malformed_certificate_exits_two(self, mcgee_file, tmp_path,
+                                                    capsys, edit, msg):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        edit(data)
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert main(["verify", "--graph", gpath, "--cert", cpath]) == 2
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err

@@ -1,10 +1,14 @@
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from scargraph.graphs import (EdgeListFormatError, ball, bfs_distances,
+from scargraph.graphs import (_CHUNK_ENTRIES, EdgeListFormatError,
+                              _widest_sphere, ball, bfs_distances,
                               bs_cycle_fraction, build_graph, girth,
                               is_bipartite, is_connected, is_regular,
                               load_edge_list, save_edge_list,
@@ -15,6 +19,32 @@ from scargraph.named import (complete_graph, cycle_graph, mcgee_graph,
 from conftest import brute_force_girth, random_small_graph
 
 INF = math.inf
+
+
+@st.composite
+def small_graphs(draw):
+    """Simple graphs on up to 14 vertices: a random forest (each vertex
+    hangs from an earlier one or starts a new component, so isolated
+    vertices and several components occur) plus up to 2n extra edges,
+    which close cycles of every length and make the degrees uneven."""
+    n = draw(st.integers(0, 14))
+    edges = set()
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.add((parent, v))
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+        edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    return build_graph(n, sorted(edges))
+
+
+def to_networkx(g):
+    G = nx.Graph()
+    G.add_nodes_from(range(g.n))
+    G.add_edges_from(g.edges().tolist())
+    return G
 
 
 class TestBuildGraph:
@@ -61,6 +91,25 @@ class TestGirth:
         for _ in range(60):
             g = random_small_graph(rng)
             assert girth(g) == brute_force_girth(g)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_matches_networkx(self, g):
+        assert girth(g) == nx.girth(to_networkx(g))
+
+    def test_short_cycle_after_many_chunks(self, lps_h):
+        # LPS(5,29) has girth 9 and 6 neighbours per vertex; a triangle on
+        # three extra vertices is met only by the last chunk of sources,
+        # long after the first chunk has cut the search depth to 8
+        n = lps_h.n
+        g = build_graph(n + 3, lps_h.edges().tolist()
+                        + [(n, n + 1), (n + 1, n + 2), (n, n + 2)])
+        assert _CHUNK_ENTRIES // _widest_sphere(g.n, 6, 8) < n
+        assert girth(lps_h) == 9
+        assert girth(g) == 3
+        assert bs_cycle_fraction(g, 3) == Fraction(3, n + 3)
+        assert bs_cycle_fraction(g, 4) == 1
 
 
 class TestShortestCycleThrough:
@@ -179,6 +228,17 @@ class TestBsCycleFraction:
             for radius in (1, 2, 3):
                 if 2 * radius + 1 < gv:
                     assert bs_cycle_fraction(g, radius) == 0
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.integers(0, 5))
+    def test_matches_networkx_balls(self, g, radius):
+        G = to_networkx(g)
+        balls = (nx.ego_graph(G, v, radius=radius) for v in G)
+        count = sum(1 for b in balls
+                    if b.number_of_edges() >= b.number_of_nodes())
+        expected = Fraction(count, g.n) if g.n else Fraction(0, 1)
+        assert bs_cycle_fraction(g, radius) == expected
 
 
 class TestDistances:

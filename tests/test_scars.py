@@ -150,6 +150,15 @@ class TestGreedyPacking:
         for a, b in itertools.combinations(picks.tolist(), 2):
             assert dist_maps[a][b] >= 3
 
+    @pytest.mark.parametrize("min_dist", [3, 5])
+    def test_pairwise_distance_on_lps(self, lps_h, min_dist):
+        picks = greedy_packing(lps_h, min_dist)
+        chosen = np.zeros(lps_h.n, dtype=bool)
+        chosen[picks] = True
+        for v in picks.tolist():
+            near = bfs_distances(lps_h, v, cap=min_dist - 1).dist >= 0
+            assert np.nonzero(near & chosen)[0].tolist() == [v]
+
     def test_lemma_bound_on_regular_graphs(self, mcgee, petersen, cubic6):
         for g in (mcgee, petersen, cubic6):
             d = is_regular(g) - 1
