@@ -187,14 +187,15 @@ def _widest_sphere(n: int, max_degree: int, cap) -> int:
 
 def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
     """For each source s, the first cycle length the non-backtracking path
-    counts from s reveal, or 0 where none is revealed up to length ``cap``.
+    counts from s reveal, or 0 where none is revealed.  Every length up to
+    ``cap`` is found; the last level searched may also report cap+1.
 
-    While no cycle lies within distance k of s, row s of ``P_j`` (j <= k) is
-    the 0/1 indicator of the sphere at distance j: every non-backtracking
-    walk of length j from s is the unique geodesic to its endpoint.  A
-    level-k vertex then steps to its children and to its neighbours on
-    level k, and the recursion cancels the steps back to level k-1 exactly.
-    So ``P_(k+1)`` is supported on levels k and k+1, and
+    While the radius-k ball around s induces a tree, row s of ``P_j``
+    (j <= k) is the 0/1 indicator of the sphere at distance j: every
+    non-backtracking walk of length j from s is the unique geodesic to its
+    endpoint.  A level-k vertex then steps to its children and to its
+    neighbours on level k, and the recursion cancels the steps back to
+    level k-1 exactly.  So ``P_(k+1)`` is supported on levels k and k+1, and
 
     * it meets the support of ``P_k`` iff an edge joins two level-k
       vertices, which closes a cycle of length 2k+1 through s's ball;
