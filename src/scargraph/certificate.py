@@ -230,10 +230,21 @@ class VerificationReport:
         return "\n".join(lines)
 
 
+def _site_vertices(site) -> set:
+    """T1 and T2 interior vertex ids of a recorded site; empty if malformed."""
+    try:
+        return {int(v) for key in ("t1_levels", "t2_levels")
+                for level in site[key] for v in level}
+    except (KeyError, TypeError, ValueError):
+        return set()
+
+
 def verify_certificate(g: Graph, cert: Certificate,
                        spectral_tol: float = 1e-7) -> VerificationReport:
     """Recompute every certified quantity from the graph and diff it against
-    the certificate; each mismatch is itemized.  Eigenvector residuals are
+    the certificate; each mismatch is itemized.  The site and record counts
+    are re-derived, and each eigenvector must lie inside its site's T1 and
+    T2 interiors with |lambda| < 2 sqrt(d).  Eigenvector residuals are
     judged against the fixed RESIDUAL_TOL, never against a tolerance the
     certificate records, and a check the certificate records as failed
     fails the verification too."""
@@ -245,6 +256,11 @@ def verify_certificate(g: Graph, cert: Certificate,
     check("vertex_count", g.n == cert.M, f"graph {g.n} vs certificate {cert.M}")
     deg = is_regular(g)
     check("regularity", deg == cert.d + 1, f"degree {deg}")
+    check("site_count", cert.k == len(cert.sites),
+          f"k={cert.k} vs {len(cert.sites)} sites")
+    check("localized_count", len(cert.localized) == cert.k * cert.r,
+          f"{len(cert.localized)} records vs k*r={cert.k * cert.r}")
+    sites = [_site_vertices(site) for site in cert.sites]
     if g.n == cert.M:
         gv = girth(g)
         gv = int(gv) if gv != math.inf else -1
@@ -271,8 +287,13 @@ def verify_certificate(g: Graph, cert: Certificate,
             wit = float(np.sum(nu[np.array(rec.support, np.int64)] ** 2)
                         - len(rec.support) / g.n)
             ok = ok and abs(wit - rec.witness_value) <= 1e-12
-            check(f"localized_{i}", ok,
-                  f"lambda={rec.eigenvalue!r} residual={rinf:.2e}")
+            sid = rec.site_id
+            in_site = type(sid) is int and 0 <= sid < len(sites) \
+                and set(rec.support) <= sites[sid]
+            interior = abs(rec.eigenvalue) < 2.0 * math.sqrt(cert.d)
+            check(f"localized_{i}", ok and in_site and interior,
+                  f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "
+                  f"in_site={in_site} interior={interior}")
     failed = sorted(name for name, ok in cert.checks.items() if ok is not True)
     check("recorded_checks", not failed,
           f"recorded as failed: {', '.join(failed)}" if failed else "")

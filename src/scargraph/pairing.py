@@ -20,7 +20,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse as sp
 
 from .graphs import ConstructionError, Graph, build_graph
 from .trees import DaryTree, level_sizes
@@ -84,8 +83,9 @@ def guaranteed_girth(d: int, n_leaves: int) -> int:
 
 class _SwapState:
     """Adjacency kept simultaneously as Python lists (for scalar BFS) and
-    CSR arrays (for vectorized scans); swaps only ever replace one neighbor
-    entry by another, so degrees never change and both stay in sync."""
+    CSR arrays (for _bfs_mark's gathers and the padded neighbour table each
+    _batched_cycle_scan builds); swaps only ever replace one neighbor entry
+    by another, so degrees never change and both stay in sync."""
 
     def __init__(self, n: int, edges):
         lists = [[] for _ in range(n)]
@@ -113,11 +113,6 @@ class _SwapState:
         self._replace(y, py, px)
         self._replace(px, x, y)
         self._replace(py, y, x)
-
-    def csr_bool(self) -> sp.csr_matrix:
-        data = np.ones(len(self.indices), dtype=np.uint8)
-        return sp.csr_matrix((data, self.indices, self.indptr),
-                             shape=(self.n, self.n))
 
     def to_graph(self) -> Graph:
         return build_graph(self.n, [(u, v) for u in range(self.n)
@@ -174,58 +169,55 @@ def _bfs_mark(state: _SwapState, src: int, max_depth: int) -> np.ndarray:
 
 
 def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
-                        parents: np.ndarray, cutoff: int,
-                        chunk: int = 2048) -> np.ndarray:
+                        parents: np.ndarray, cutoff: int) -> np.ndarray:
     """Cycle length through each movable edge (points[i], parents[i]), with
-    lengths above ``cutoff`` reported as _BIG.  One frontier-expansion BFS
-    per point, run in bulk as sparse boolean matrix products."""
+    lengths above ``cutoff`` reported as _BIG.
+
+    One bit-parallel BFS runs from every point at once (Then et al., VLDB
+    2014): source i owns bit i % 64 of word i // 64 in each row of the
+    (n+1) x words ``front`` and ``visited`` arrays, and row n is an
+    all-zero sentinel that the padded neighbour table points at past each
+    vertex's degree.  Step 1 puts source i on the neighbours of points[i]
+    other than parents[i]; each later step ORs the frontier over the
+    table's columns and keeps the bits not yet visited.  The edge
+    (points[i], parents[i]) is never crossed after step 1: points[i] is
+    visited from the start, so bit i never again sits on it, and bit i
+    can cross from parents[i] only after reaching parents[i], which
+    already fixes the answer.  The first time bit i lands on parents[i],
+    at distance t, the cycle has length t + 1.
+    """
     npts = len(points)
     out = np.full(npts, _BIG, dtype=np.int64)
-    steps = cutoff - 2
-    if steps < 1:
+    if cutoff < 3:
         return out
-    A = state.csr_bool()
-    indptr, indices = state.indptr, state.indices
-    for lo in range(0, npts, chunk):
-        rows = np.arange(lo, min(lo + chunk, npts))
-        R = len(rows)
-        pts = points[rows]
-        tgt = parents[rows]
-        visited = np.zeros((R, state.n), dtype=bool)
-        visited[np.arange(R), pts] = True
-        fr, fc = [], []
-        for i in range(R):
-            nb = indices[indptr[pts[i]]:indptr[pts[i] + 1]]
-            nb = nb[nb != tgt[i]]
-            fr.append(np.full(len(nb), i, dtype=np.int64))
-            fc.append(nb)
-        fr = np.concatenate(fr) if fr else np.zeros(0, np.int64)
-        fc = np.concatenate(fc) if fc else np.zeros(0, np.int64)
-        visited[fr, fc] = True
-        hit = np.full(R, -1, dtype=np.int64)
-        F = sp.csr_matrix((np.ones(len(fr), np.uint8), (fr, fc)),
-                          shape=(R, state.n))
-        for step in range(1, steps + 1):
-            F = (F @ A).tocoo()
-            r, c = F.row, F.col
-            keep = ~visited[r, c]
-            r, c = r[keep], c[keep]
-            if len(r) == 0:
-                break
-            hits = c == tgt[r]
-            if hits.any():
-                for i in np.unique(r[hits]):
-                    if hit[i] < 0:
-                        hit[i] = step
-            visited[r, c] = True
-            live = hit[r] < 0
-            r, c = r[live], c[live]
-            if len(r) == 0:
-                break
-            F = sp.csr_matrix((np.ones(len(r), np.uint8), (r, c)),
-                              shape=(R, state.n))
-        got = hit >= 0
-        out[rows[got]] = hit[got] + 2
+    n, indptr = state.n, state.indptr
+    deg = np.diff(indptr)
+    rows = np.repeat(np.arange(n), deg)
+    table = np.full((n, int(deg.max())), n, dtype=np.int64)
+    table[rows, np.arange(len(rows)) - indptr[rows]] = state.indices
+    src = np.arange(npts)
+    word = src // 64
+    bit = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
+    front = np.zeros((n + 1, (npts + 63) // 64), dtype=np.uint64)
+    nbrs = table[points]
+    first = (nbrs != n) & (nbrs != parents[:, None])
+    i = np.nonzero(first)[0]
+    np.bitwise_or.at(front, (nbrs[first], word[i]), bit[i])
+    visited = front.copy()
+    np.bitwise_or.at(visited, (points, word), bit)
+    gathered = np.empty_like(front[:n])
+    for dist in range(2, cutoff):
+        nxt = np.zeros_like(front)
+        for col in table.T:
+            np.take(front, col, axis=0, out=gathered)
+            nxt[:n] |= gathered
+        nxt &= ~visited
+        visited |= nxt
+        hit = (out == _BIG) & ((nxt[parents, word] & bit) != 0)
+        out[hit] = dist + 1
+        if (out < _BIG).all() or not nxt.any():
+            break
+        front = nxt
     return out
 
 
@@ -314,20 +306,6 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             return _EngineResult(g, swaps, True)
 
 
-def _exact_min_cycle(state: _SwapState, points, parents, hard_cap: int,
-                     start: int = 4) -> int:
-    """Exact min cycle length through the movable edges by deepening scans."""
-    cutoff = max(4, start)
-    while True:
-        c = _batched_cycle_scan(state, points, parents, min(cutoff, hard_cap))
-        g = int(c.min()) if len(c) else _BIG
-        if g < _BIG:
-            return g
-        if cutoff >= hard_cap:
-            return _BIG
-        cutoff *= 2
-
-
 # -- gluing two trees ----------------------------------------------------------
 
 @dataclass
@@ -402,8 +380,8 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     slots = pi.copy()
     res = _run_swaps(state, points, slots, t2p, target, guaranteed,
                      max_swaps=10 * n + 1000)
-    girth = _exact_min_cycle(state, points, t2p[slots], 4 * depth + 2,
-                             start=min(res.achieved, 4 * depth + 2))
+    girth = int(_batched_cycle_scan(state, points, t2p[slots],
+                                    4 * depth + 2).min())
     if girth < guaranteed:
         raise ConstructionError(
             f"pairing girth {girth} below guaranteed {guaranteed}")

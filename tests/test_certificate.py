@@ -119,6 +119,54 @@ class TestVerifyCertificate:
             assert name in failed[0].detail
 
 
+    def test_site_count_is_rederived(self, mcgee_sg):
+        data = build_certificate(mcgee_sg).to_dict()
+        data.update(k=5, sites=[])
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        failed = [it.name for it in report.items if not it.ok]
+        assert failed == ["site_count", "localized_count", "localized_0"]
+
+    @pytest.mark.parametrize("edit,failed", [
+        (lambda d: d.update(k=2), ["site_count", "localized_count"]),
+        (lambda d: d["sites"].append(d["sites"][0]), ["site_count"]),
+        (lambda d: d["localized"].append(d["localized"][0]),
+         ["localized_count"]),
+        (lambda d: d["localized"][0].update(site_id=1), ["localized_0"]),
+        (lambda d: d["localized"][0].update(site_id=-1), ["localized_0"]),
+        (lambda d: d["sites"][0].update(t2_levels=[]), ["localized_0"]),
+        (lambda d: d["sites"][0].pop("t1_levels"), ["localized_0"]),
+    ], ids=["k", "extra-site", "extra-record", "site-id-high",
+            "site-id-negative", "support-outside-site", "malformed-site"])
+    def test_site_bookkeeping_is_rederived(self, mcgee_sg, edit, failed):
+        data = build_certificate(mcgee_sg).to_dict()
+        edit(data)
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        assert [it.name for it in report.items if not it.ok] == failed
+
+    def test_eigenvalue_outside_bulk_fails(self, cubic6_sg2):
+        # lambda = 3 = d + 1 with the normalized all-ones vector is an exact
+        # eigenpair of the glued graph but not an interior (|lambda| <
+        # 2 sqrt d) one; the site is widened to every vertex so that only
+        # the interior test can fail
+        cert = build_certificate(cubic6_sg2)
+        data = cert.to_dict()
+        M = cert.M
+        data["localized"][0].update(
+            support=list(range(M)), values=[1 / math.sqrt(M)] * M,
+            eigenvalue=3.0, witness_value=0.0)
+        data["sites"][0]["t1_levels"] = [list(range(M))]
+        report = verify_certificate(cubic6_sg2.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        failed = [it for it in report.items if not it.ok]
+        assert [it.name for it in failed] == ["localized_0"]
+        assert "interior" in failed[0].detail
+
+
 class TestCertificateSchema:
     @pytest.mark.parametrize("edit,msg", [
         (lambda d: d.update(extra=1), "unknown keys extra"),

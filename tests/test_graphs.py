@@ -256,6 +256,18 @@ class TestDistances:
         dm = bfs_distances(cycle_graph(10), 0, cap=2)
         assert (dm.dist >= 0).sum() == 5
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_networkx(self, g, data):
+        if g.n == 0:
+            return
+        source = data.draw(st.integers(0, g.n - 1))
+        cap = data.draw(st.none() | st.integers(0, 6))
+        expected = nx.single_source_shortest_path_length(
+            to_networkx(g), source, cutoff=cap)
+        dist = bfs_distances(g, source, cap=cap).dist
+        assert {v: int(x) for v, x in enumerate(dist) if x >= 0} == expected
+
 
 class TestEdgeListFormat:
     def test_round_trip(self, tmp_path):

@@ -1,15 +1,20 @@
+import hashlib
 import json
 import math
 from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scargraph.graphs import girth, is_regular
 from scargraph.named import cycle_graph
-from scargraph.pairing import (guaranteed_girth, identify_onto_anchors,
-                               pair_trees, path_count_cumulative,
-                               path_count_exact, path_count_total)
+from scargraph.pairing import (_SwapState, _batched_cycle_scan,
+                               _cycle_through_edge, guaranteed_girth,
+                               identify_onto_anchors, pair_trees,
+                               path_count_cumulative, path_count_exact,
+                               path_count_total)
 from scargraph.trees import build_dary_tree
 
 
@@ -147,6 +152,74 @@ class TestPairTrees:
             pair_trees(1, 3)
         with pytest.raises(ValueError):
             pair_trees(2, 0)
+
+
+    # SHA-256 of to_json(), recorded with the earlier sparse-product cycle
+    # scan: a faster scan must leave every swap decision unchanged
+    @pytest.mark.parametrize("d,D,seed,digest", [
+        (2, 5, 0, "ec1967c11b33ba12718950f77b3af6c1"
+                  "44f8107d3ca886d00c222c45ffa5dcf3"),
+        (2, 5, 1, "212e725e153a4cafd8e253f660e50b8b"
+                  "2f7c3a031a75be3fd9669f52cf2648cf"),
+        (3, 4, 0, "61ac1b4ee6fcec0c9967577ba6d6c272"
+                  "f91e5f863846954f27c2686044f7dbd0"),
+        (3, 4, 1, "cc2d6fe935b4b1447416701e52c6fc31"
+                  "b734003716e7c5b5554a44c12fc67e8d"),
+        (4, 5, 0, "5d81e084b2b1636e66f0d4e734c939fd"
+                  "65807ab0593418a97ed70272d732ce57"),
+        (4, 5, 1, "534701ef0b5140c03f0907db5aa3dd2e"
+                  "2e0c0a6c0352122677361bb5714f00dc"),
+    ])
+    def test_golden_digest(self, d, D, seed, digest):
+        text = pair_trees(d, D, seed=seed).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@st.composite
+def scan_inputs(draw):
+    """A small graph and movable edges (point, parent) to scan.  The graph
+    is a random forest plus extra edges on up to 12 vertices, then a
+    pendant vertex whose only neighbour is its parent, then a disjoint
+    cycle; the first two points are the pendant edge and a cycle edge, so
+    any two or more points span different components.  Point counts
+    straddle the 64-bit word boundaries, so edges repeat."""
+    n = draw(st.integers(1, 12))
+    edges = set()
+    for v in range(1, n):
+        parent = draw(st.integers(-1, v - 1))
+        if parent >= 0:
+            edges.add((parent, v))
+    vertex = st.integers(0, n - 1)
+    extra = draw(st.lists(st.tuples(vertex, vertex), max_size=2 * n))
+    edges |= {(min(u, v), max(u, v)) for u, v in extra if u != v}
+    pendant, attach = n, draw(vertex)
+    edges.add((attach, pendant))
+    ring = draw(st.integers(3, 7))
+    first = n + 1
+    edges |= {(first + i, first + (i + 1) % ring) for i in range(ring)}
+    edges = sorted(edges)
+    npts = draw(st.sampled_from([1, 2, 63, 64, 65, 129]))
+    picks = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()),
+                          min_size=npts, max_size=npts))
+    pairs = [(pendant, attach), (first, first + 1)]
+    pairs += [(u, v) if flip else (v, u) for (u, v), flip in picks]
+    pairs = pairs[:npts]
+    return (_SwapState(first + ring, edges),
+            np.array([p for p, _ in pairs], dtype=np.int64),
+            np.array([q for _, q in pairs], dtype=np.int64))
+
+
+class TestBatchedCycleScan:
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_matches_scalar_oracle(self, inputs):
+        state, points, parents = inputs
+        for cutoff in range(13):
+            expected = [_cycle_through_edge(state.lists, int(x), int(p),
+                                            cutoff)
+                        for x, p in zip(points, parents)]
+            got = _batched_cycle_scan(state, points, parents, cutoff)
+            assert got.tolist() == expected, cutoff
 
 
 class TestIdentifyOntoAnchors:

@@ -2,12 +2,16 @@ import itertools
 import math
 from fractions import Fraction
 
+import networkx as nx
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from scargraph.graphs import (ConstructionError, bfs_distances, girth,
                               is_regular, vertex_expansion)
-from scargraph.named import cycle_graph, petersen_graph, star_graph
+from scargraph.named import (cycle_graph, petersen_graph,
+                             random_regular_graph, star_graph)
 from scargraph.scars import (ScarSite, carve_site, expected_vertex_count,
                              glue, greedy_packing, localized_eigenvector,
                              multi_glue, odd_level_witness)
@@ -170,6 +174,23 @@ class TestGreedyPacking:
     def test_irregular_rejected(self):
         with pytest.raises(ValueError):
             greedy_packing(star_graph(3), 2)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(3, 20), st.integers(2, 4), st.integers(0, 2 ** 31),
+           st.integers(1, 6))
+    def test_packing_and_maximal_against_networkx(self, half, degree, seed,
+                                                  min_dist):
+        n = 2 * half
+        g = random_regular_graph(n, degree, seed=seed)
+        picks = greedy_packing(g, min_dist).tolist()
+        G = nx.Graph(g.edges().tolist())
+        G.add_nodes_from(range(n))
+        dist = dict(nx.all_pairs_shortest_path_length(G))
+        for a, b in itertools.combinations(picks, 2):
+            assert dist[a].get(b, math.inf) >= min_dist
+        for v in range(n):
+            assert any(dist[v].get(p, math.inf) <= min_dist - 1
+                       for p in picks), v
 
 
 class TestOddLevelWitness:
