@@ -92,6 +92,31 @@ class LpsParams:
         self.legendre = legendre_symbol(self.p, self.q)
 
 
+def _canonizer(q: int):
+    """Map a matrix (a, b, c, d) mod q to its projective representative,
+    scaled so the first nonzero of (a, b) is 1; faithful on PSL in PGL."""
+    inv = [0] * q
+    for a in range(1, q):
+        inv[a] = pow(a, q - 2, q)
+
+    def canon(m):
+        a, b, c, dd = m
+        s = inv[a] if a % q else inv[b]
+        return ((a * s) % q, (b * s) % q, (c * s) % q, (dd * s) % q)
+
+    return canon
+
+
+def generator_matrices(p: int, q: int) -> list:
+    """The canonical projective generator matrices: the quaternion
+    solutions mapped through a square root of -1 mod q."""
+    iq = sqrt_minus_one(q)
+    canon = _canonizer(q)
+    return [canon(((a0 + iq * a1) % q, (a2 + iq * a3) % q,
+                   (-a2 + iq * a3) % q, (a0 - iq * a1) % q))
+            for a0, a1, a2, a3 in quaternion_generators(p)]
+
+
 def lps_graph(p_or_params, q: int | None = None) -> Graph:
     """The (p+1)-regular quaternion Cayley graph on PSL(2, q).
 
@@ -107,26 +132,10 @@ def lps_graph(p_or_params, q: int | None = None) -> Graph:
         raise ValueError(
             f"p = {p} is not a square mod q = {q}: that branch is bipartite "
             f"on all of PGL(2, q); pick another q (e.g. one with (p|q) = 1)")
-    iq = sqrt_minus_one(q)
-    sols = quaternion_generators(p)
-    if len(sols) != p + 1:
+    gens = generator_matrices(p, q)
+    if len(gens) != p + 1:
         raise RuntimeError(
-            f"found {len(sols)} quaternion solutions, expected p+1 = {p + 1}")
-
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-
-    def canon(m):
-        # scale so the first nonzero of (a, b) is 1; faithful on PSL in PGL
-        a, b, c, dd = m
-        s = inv[a] if a % q else inv[b]
-        return ((a * s) % q, (b * s) % q, (c * s) % q, (dd * s) % q)
-
-    gens = []
-    for a0, a1, a2, a3 in sols:
-        gens.append(canon(((a0 + iq * a1) % q, (a2 + iq * a3) % q,
-                           (-a2 + iq * a3) % q, (a0 - iq * a1) % q)))
+            f"found {len(gens)} quaternion solutions, expected p+1 = {p + 1}")
     if len(set(gens)) != p + 1:
         raise RuntimeError("generator matrices collide; q too small?")
 
@@ -146,6 +155,7 @@ def lps_graph(p_or_params, q: int | None = None) -> Graph:
         raise RuntimeError(
             f"enumerated {len(verts)} PSL elements, expected {expected}")
     index = {v: i for i, v in enumerate(verts)}
+    canon = _canonizer(q)
     edges = set()
     for v in verts:
         a, b, c, dd = v
@@ -161,26 +171,6 @@ def lps_graph(p_or_params, q: int | None = None) -> Graph:
     if is_regular(g) != p + 1:
         raise RuntimeError("Cayley graph is not (p+1)-regular")
     return g
-
-
-def generator_matrices(p: int, q: int) -> list:
-    """The canonical projective generator matrices, for inverse-closure and
-    distinctness checks."""
-    iq = sqrt_minus_one(q)
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-
-    def canon(m):
-        a, b, c, dd = m
-        s = inv[a] if a % q else inv[b]
-        return ((a * s) % q, (b * s) % q, (c * s) % q, (dd * s) % q)
-
-    out = []
-    for a0, a1, a2, a3 in quaternion_generators(p):
-        out.append(canon(((a0 + iq * a1) % q, (a2 + iq * a3) % q,
-                          (-a2 + iq * a3) % q, (a0 - iq * a1) % q)))
-    return out
 
 
 @dataclass

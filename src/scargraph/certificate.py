@@ -13,7 +13,7 @@ from dataclasses import dataclass, fields
 import numpy as np
 
 from .graphs import Graph, girth, is_regular
-from .pairing import _floor_log
+from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
 from .scars import ScarredGraph, localized_eigenvector
 from .spectral import extreme_eigenvalues, spectral_threshold
@@ -23,18 +23,6 @@ SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
 SUPPORT_EPS = 1e-12
 RESIDUAL_TOL = 1e-10     # max |A nu - lambda nu| of a certified eigenvector
-
-
-def girth_bound(d: int, r: int) -> int:
-    """floor(2 log_{2d-1}((d+1) d^(r-1))), the girth the gluing promises."""
-    n = (d + 1) * d ** (r - 1)
-    return _floor_log(2 * d - 1, n * n)
-
-
-def girth_required(d: int, r: int) -> int:
-    """2 floor(log_{2d-1}(n-1)) + 2: the hard lower bound glue() enforces."""
-    n = (d + 1) * d ** (r - 1)
-    return 2 * _floor_log(2 * d - 1, n - 1) + 2
 
 
 @dataclass
@@ -247,7 +235,8 @@ def verify_certificate(g: Graph, cert: Certificate,
     T2 interiors with |lambda| < 2 sqrt(d).  Eigenvector residuals are
     judged against the fixed RESIDUAL_TOL, never against a tolerance the
     certificate records, and a check the certificate records as failed
-    fails the verification too."""
+    fails the verification too.  A record whose support holds an id
+    outside [0, M) or whose values do not match it one to one fails."""
     items = []
 
     def check(name, ok, detail=""):
@@ -278,18 +267,24 @@ def verify_certificate(g: Graph, cert: Certificate,
         check("proposition_threshold",
               abs(prop - cert.proposition_threshold) < 1e-12)
         for i, rec in enumerate(cert.localized):
+            ids = rec.support
+            if not (isinstance(ids, list) and isinstance(rec.values, list)
+                    and len(ids) == len(rec.values)
+                    and all(type(v) is int and 0 <= v < g.n for v in ids)):
+                check(f"localized_{i}", False,
+                      f"support must hold one id in [0, {g.n}) per value")
+                continue
             nu = np.zeros(g.n)
-            nu[np.array(rec.support, dtype=np.int64)] = rec.values
+            nu[ids] = rec.values
             norm = np.linalg.norm(nu)
             res = g.csr() @ nu - rec.eigenvalue * nu
             rinf = float(np.abs(res).max())
             ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL
-            wit = float(np.sum(nu[np.array(rec.support, np.int64)] ** 2)
-                        - len(rec.support) / g.n)
+            wit = float(np.sum(nu[ids] ** 2) - len(ids) / g.n)
             ok = ok and abs(wit - rec.witness_value) <= 1e-12
             sid = rec.site_id
             in_site = type(sid) is int and 0 <= sid < len(sites) \
-                and set(rec.support) <= sites[sid]
+                and set(ids) <= sites[sid]
             interior = abs(rec.eigenvalue) < 2.0 * math.sqrt(cert.d)
             check(f"localized_{i}", ok and in_site and interior,
                   f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "

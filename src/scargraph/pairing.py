@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .graphs import ConstructionError, Graph, build_graph
-from .trees import DaryTree, level_sizes
+from .trees import DaryTree, tree_layout
 
 _BIG = 10 ** 9
 
@@ -77,6 +77,18 @@ def guaranteed_girth(d: int, n_leaves: int) -> int:
     """2 floor(log_{2d-1}(n-1)) + 2, the level up to which a far partner is
     guaranteed by the path-count bound."""
     return 2 * _floor_log(2 * d - 1, n_leaves - 1) + 2
+
+
+def girth_bound(d: int, r: int) -> int:
+    """floor(2 log_{2d-1}((d+1) d^(r-1))), the girth the gluing promises."""
+    n = (d + 1) * d ** (r - 1)
+    return _floor_log(2 * d - 1, n * n)
+
+
+def girth_required(d: int, r: int) -> int:
+    """guaranteed_girth for a depth-r site: the hard lower bound glue()
+    enforces."""
+    return guaranteed_girth(d, (d + 1) * d ** (r - 1))
 
 
 # -- mutable swap state --------------------------------------------------------
@@ -225,7 +237,6 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
 
 @dataclass
 class _EngineResult:
-    achieved: int          # min cycle length through the movable edges
     swaps: int
     stalled: bool          # stopped at a local optimum short of the target
 
@@ -246,7 +257,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     npts = len(points)
     if len(np.unique(slot_parent)) <= 1:
         # all leaves hang off one parent: every assignment is the same graph
-        return _EngineResult(_BIG, 0, False)
+        return _EngineResult(0, False)
     swaps = 0
 
     def do_swap(i, j):
@@ -259,7 +270,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
         c = _batched_cycle_scan(state, points, parents, target - 1)
         g = int(c.min())
         if g >= target:
-            return _EngineResult(g if g < _BIG else _BIG, swaps, False)
+            return _EngineResult(swaps, False)
         moved = False
         for i in np.nonzero(c == g)[0]:
             x = int(points[i])
@@ -303,7 +314,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             if swaps > max_swaps:
                 raise ConstructionError("swap budget exhausted; not terminating")
         if not moved:
-            return _EngineResult(g, swaps, True)
+            return _EngineResult(swaps, True)
 
 
 # -- gluing two trees ----------------------------------------------------------
@@ -336,50 +347,44 @@ class Pairing:
             fh.write(self.to_json() + "\n")
 
 
-def _double_tree_layout(d: int, depth: int):
-    """Interior edges and per-slot leaf parents for two disjoint trees.
-
-    Returns (total interior size per tree I, leaf count n, edges, t1_parent
-    per slot, t2_parent per slot); identified vertex for slot i is I + i.
-    """
-    sizes = level_sizes(d, depth - 1)
-    I = sum(sizes)
-    n = (d + 1) * d ** (depth - 1)
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    edges = []
-    for base in (0, I + n):
-        for lvl in range(1, depth):
-            branch = d + 1 if lvl == 1 else d
-            for j in range(sizes[lvl]):
-                edges.append((base + offs[lvl] + j,
-                              base + offs[lvl - 1] + j // branch))
-    branch = d + 1 if depth == 1 else d
-    t1p = np.array([offs[depth - 1] + i // branch for i in range(n)])
-    t2p = t1p + (I + n)
-    return I, n, edges, t1p, t2p
+def _attach_tree(edges: list, d: int, depth: int, anchors, first: int,
+                 rng: np.random.Generator):
+    """Append the interior of a fresh depth-``depth`` d-ary tree on ids
+    first.. to ``edges``, and join anchor i to the parent of leaf slot
+    slots[i] for a seeded random bijection ``slots``; the leaves themselves
+    are the anchors.  Returns (slots, slot_parent, interior levels, next
+    free id)."""
+    levels, parent = tree_layout(d, depth, first)
+    nxt = int(levels[-1][0])
+    edges += zip(range(first + 1, nxt), parent[:nxt - first - 1].tolist())
+    slot_parent = parent[nxt - first - 1:]
+    slots = rng.permutation(len(anchors))
+    edges += [(int(a), int(slot_parent[j])) for a, j in zip(anchors, slots)]
+    return slots, slot_parent, levels[:-1], nxt
 
 
 def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
-    """Glue two depth-``depth`` d-ary trees leaf-to-leaf with girth at least
-    floor(2 log_{2d-1}(n-1)) + 2, n = (d+1) d^(depth-1), by seeded random
-    start plus girth-improving swaps."""
+    """Glue two depth-``depth`` d-ary trees leaf-to-leaf, n = (d+1) d^(depth-1)
+    leaves each, by a seeded random bijection plus swaps aimed at
+    girth_target(d, n), floor(2 log_{2d-1}(n-1)) + 2 rounded up to even.
+    The girth enforced is guaranteed_girth(d, n), 2 floor(log_{2d-1}(n-1))
+    + 2, which the path-count bound promises and which can be smaller."""
     if d < 2:
         raise ValueError("branching d must be at least 2")
     if depth < 1:
         raise ValueError("depth must be at least 1")
-    I, n, edges, t1p, t2p = _double_tree_layout(d, depth)
+    # T1 in level order; its leaves are the identified points
+    levels, parent = tree_layout(d, depth)
+    points = levels[-1]
+    n = len(points)
+    edges = list(zip(range(1, len(parent) + 1), parent.tolist()))
     rng = np.random.default_rng(seed)
-    pi = rng.permutation(n)
-    points = I + np.arange(n)
-    for i in range(n):
-        edges.append((int(points[i]), int(t1p[i])))
-        edges.append((int(points[i]), int(t2p[pi[i]])))
-    state = _SwapState(2 * I + n, edges)
-    target = girth_target(d, n)
+    slots, t2p, _, total = _attach_tree(edges, d, depth, points,
+                                        len(parent) + 1, rng)
+    state = _SwapState(total, edges)
     guaranteed = guaranteed_girth(d, n)
-    slots = pi.copy()
-    res = _run_swaps(state, points, slots, t2p, target, guaranteed,
-                     max_swaps=10 * n + 1000)
+    res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
+                     guaranteed, max_swaps=10 * n + 1000)
     girth = int(_batched_cycle_scan(state, points, t2p[slots],
                                     4 * depth + 2).min())
     if girth < guaranteed:
@@ -406,22 +411,10 @@ def identify_onto_anchors(g: Graph, tree: DaryTree, anchors,
     if anchors.size and (anchors.min() < 0 or anchors.max() >= g.n):
         raise ValueError("anchor out of range")
     edges = [tuple(e) for e in g.edges()]
-    base = g.n
-    # interior vertices of the tree get ids base..base+I-1 in level order
-    interior = np.concatenate(tree.levels[:-1])
-    local = {int(v): base + i for i, v in enumerate(interior)}
-    for lvl in range(1, tree.depth):
-        for v in tree.levels[lvl]:
-            p = int(tree.graph.neighbors(int(v))[0])  # parent is the smallest id
-            edges.append((local[int(v)], local[p]))
-    slot_parent = np.array(
-        [local[int(tree.graph.neighbors(int(leaf))[0])] for leaf in tree.leaves],
-        dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    slots = rng.permutation(nleaves)
-    for i in range(nleaves):
-        edges.append((int(anchors[i]), int(slot_parent[slots[i]])))
-    state = _SwapState(base + len(interior), edges)
+    # the tree's interior gets ids g.n.. in level order
+    slots, slot_parent, _, total = _attach_tree(
+        edges, tree.d, tree.depth, anchors, g.n, np.random.default_rng(seed))
+    state = _SwapState(total, edges)
     cap = 2 * tree.depth + 2 * g.n  # no cycle through the tree can be longer
     _run_swaps(state, anchors, slots, slot_parent, cap, 0,
                max_swaps=10 * nleaves + 1000)

@@ -20,9 +20,9 @@ import numpy as np
 
 from .graphs import (ConstructionError, Graph, ball, bfs_distances, girth,
                      is_regular)
-from .pairing import (_SwapState, _run_swaps, girth_target, guaranteed_girth,
-                      _floor_log)
-from .trees import interior_size, level_sizes, radial_spectrum, tree_size
+from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_target,
+                      guaranteed_girth)
+from .trees import interior_size, radial_spectrum, tree_size
 
 
 @dataclass
@@ -152,24 +152,6 @@ def _check_site_separation(h: Graph, sites, r: int):
                     f" <= 4r = {4 * r}; sites must be farther apart")
 
 
-def _attach_tree_edges(d: int, r: int, first_new: int):
-    """Interior edges of a fresh depth-r tree on ids first_new.., plus the
-    per-leaf-slot parent ids and the per-level id lists."""
-    sizes = level_sizes(d, r - 1)  # interior levels only
-    offs = np.concatenate([[0], np.cumsum(sizes)])
-    levels = [first_new + np.arange(offs[i], offs[i + 1]) for i in range(r)]
-    edges = []
-    for lvl in range(1, r):
-        branch = d + 1 if lvl == 1 else d
-        for j in range(sizes[lvl]):
-            edges.append((int(first_new + offs[lvl] + j),
-                          int(first_new + offs[lvl - 1] + j // branch)))
-    nleaves = (d + 1) * d ** (r - 1)
-    branch = d + 1 if r == 1 else d
-    slot_parent = first_new + offs[r - 1] + np.arange(nleaves) // branch
-    return edges, slot_parent, levels, int(offs[-1])
-
-
 def glue(h: Graph, sites, seed: int = 0, max_retries: int = 3) -> ScarredGraph:
     """Delete each site's matching and glue replacement trees T2 (onto the
     carved leaves) and T3 (onto the matched partners), choosing both leaf
@@ -212,21 +194,14 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
     plans = []
     out_sites = []
     for s in sites:
-        t2_edges, t2_slot_parent, t2_levels, used = _attach_tree_edges(d, r, next_id)
-        next_id += used
-        t3_edges, t3_slot_parent, t3_levels, used = _attach_tree_edges(d, r, next_id)
-        next_id += used
-        edges += t2_edges + t3_edges
-        slots2 = rng.permutation(len(s.leaves))
-        slots3 = rng.permutation(len(s.partners))
-        for i in range(len(s.leaves)):
-            edges.append((int(s.leaves[i]), int(t2_slot_parent[slots2[i]])))
-            edges.append((int(s.partners[i]), int(t3_slot_parent[slots3[i]])))
-        plans.append((s, slots2, t2_slot_parent, slots3, t3_slot_parent))
+        slots2, t2sp, t2_levels, next_id = _attach_tree(
+            edges, d, r, s.leaves, next_id, rng)
+        slots3, t3sp, t3_levels, next_id = _attach_tree(
+            edges, d, r, s.partners, next_id, rng)
+        plans.append((s, slots2, t2sp, slots3, t3sp))
         out_sites.append(ScarSite(s.root, r, d, s.t1_levels, s.leaves,
                                   s.partners, s.removed_matching,
-                                  [lv for lv in t2_levels],
-                                  [lv for lv in t3_levels]))
+                                  t2_levels, t3_levels))
 
     state = _SwapState(next_id, edges)
     nleaves = (d + 1) * d ** (r - 1)
@@ -245,10 +220,9 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
     if deg != d + 1:
         raise ConstructionError("glued graph is not (d+1)-regular")
     measured = girth(g)
-    required = 2 * _floor_log(2 * d - 1, nleaves - 1) + 2 if nleaves > 1 else 2
-    if measured < required:
+    if measured < guaranteed:
         raise ConstructionError(
-            f"glued girth {measured} below required {required}")
+            f"glued girth {measured} below required {guaranteed}")
     return ScarredGraph(g, h.n, d, r, out_sites, seed, [seed], int(measured))
 
 

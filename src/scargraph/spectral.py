@@ -112,26 +112,9 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     pairs.sort(key=lambda p: -p[0])
     top = pairs[0][0]
 
-    deg = is_regular(g)
-    if deg is not None:
-        # restrict to the complement of the all-ones top eigenvector
-        def mv_defl(x):
-            count[0] += 1
-            z = x - x.mean()
-            y = a @ z
-            return y - y.mean()
-
-        opd = spla.LinearOperator((n, n), matvec=mv_defl, dtype=float)
-        try:
-            w2, v2 = spla.eigsh(opd, k=1, which="LM", v0=v0, tol=tol,
-                                maxiter=maxiter)
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"deflated Lanczos did not converge within {maxiter} iterations",
-                partial=exc.eigenvalues) from exc
-        lam2 = abs(float(w2[0]))
-        vec = v2[:, 0] - v2[:, 0].mean()
-        vec /= np.linalg.norm(vec)
+    if is_regular(g) is not None:
+        ritz, vec = _deflated_extreme(a, v0, tol, maxiter, count)
+        lam2 = abs(ritz)
         lam_signed = float(vec @ (a @ vec))
         r2 = float(np.linalg.norm(a @ vec - lam_signed * vec))
         pairs.append((lam_signed, r2))
@@ -142,30 +125,46 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     return SpectralSummary(top, lam2, "iterative", count[0], res, pairs, None)
 
 
+def _deflated_extreme(a, v0, tol, maxiter, count):
+    """Largest-magnitude Ritz pair of the adjacency ``a`` restricted to the
+    complement of the all-ones vector, the top eigenvector of a connected
+    regular graph.  Returns the Ritz value and the centred unit Ritz
+    vector; each matvec adds one to count[0]."""
+    n = a.shape[0]
+
+    def mv(x):
+        count[0] += 1
+        z = x - x.mean()
+        y = a @ z
+        return y - y.mean()
+
+    op = spla.LinearOperator((n, n), matvec=mv, dtype=float)
+    try:
+        w, v = spla.eigsh(op, k=1, which="LM", v0=v0, tol=tol,
+                          maxiter=maxiter)
+    except spla.ArpackNoConvergence as exc:
+        raise EigensolverError(
+            f"deflated Lanczos did not converge within {maxiter} iterations",
+            partial=exc.eigenvalues) from exc
+    vec = v[:, 0] - v[:, 0].mean()
+    vec /= np.linalg.norm(vec)
+    return float(w[0]), vec
+
+
 def second_eigenvector(g: Graph, tol: float = 1e-10, seed: int = 0):
     """(lambda, vector) attaining the nontrivial spectral radius of a
-    connected regular graph."""
+    connected regular graph; raises EigensolverError when Lanczos does not
+    converge."""
     if g.n <= DENSE_CUTOFF:
         a = g.csr().toarray()
         w, vecs = eigh(a)
         i = 0 if abs(w[0]) >= abs(w[-2]) else g.n - 2
         return float(w[i]), vecs[:, i]
     a = g.csr()
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(g.n)
-
-    def mv(x):
-        z = x - x.mean()
-        y = a @ z
-        return y - y.mean()
-
-    op = spla.LinearOperator((g.n, g.n), matvec=mv, dtype=float)
-    w, v = spla.eigsh(op, k=1, which="LM", v0=v0, tol=tol,
-                      maxiter=int(50 * math.sqrt(g.n)) + 100)
-    vec = v[:, 0] - v[:, 0].mean()
-    vec /= np.linalg.norm(vec)
-    lam = float(vec @ (a @ vec))
-    return lam, vec
+    v0 = np.random.default_rng(seed).standard_normal(g.n)
+    _, vec = _deflated_extreme(a, v0, tol, int(50 * math.sqrt(g.n)) + 100,
+                               [0])
+    return float(vec @ (a @ vec)), vec
 
 
 def spectral_threshold(d: int):

@@ -53,29 +53,27 @@ class DaryTree:
         return out
 
 
+def tree_layout(d: int, depth: int, first: int = 0):
+    """Level-order ids of a depth-``depth`` d-ary tree numbered from
+    ``first``: the per-level id arrays, root first, and the parent id of
+    every non-root vertex in id order (vertex first+1+k has parent[k])."""
+    sizes = level_sizes(d, depth)
+    offsets = first + np.concatenate([[0], np.cumsum(sizes)])
+    levels = [np.arange(offsets[i], offsets[i + 1]) for i in range(depth + 1)]
+    parent = [offsets[i - 1] + np.arange(sizes[i]) // (d + 1 if i == 1 else d)
+              for i in range(1, depth + 1)]
+    return levels, np.concatenate([np.zeros(0, np.int64)] + parent)
+
+
 def build_dary_tree(d: int, depth: int) -> DaryTree:
     """Level-order indexed d-ary tree of the given depth."""
     if d < 2:
         raise ValueError("branching d must be at least 2")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
-    sizes = level_sizes(d, depth)
-    offsets = np.concatenate([[0], np.cumsum(sizes)])
-    n = int(offsets[-1])
-    levels = [np.arange(offsets[i], offsets[i + 1]) for i in range(depth + 1)]
-    parents = []
-    children = []
-    for i in range(1, depth + 1):
-        j = np.arange(sizes[i])
-        branch = d + 1 if i == 1 else d
-        parents.append(offsets[i - 1] + j // branch)
-        children.append(offsets[i] + j)
-    if parents:
-        lo = np.concatenate(parents)
-        hi = np.concatenate(children)
-        g = _graph_from_half_edges(n, lo, hi)
-    else:
-        g = _graph_from_half_edges(1, np.array([], np.int64), np.array([], np.int64))
+    levels, parent = tree_layout(d, depth)
+    n = len(parent) + 1
+    g = _graph_from_half_edges(n, parent, np.arange(1, n))
     return DaryTree(d, depth, g, levels)
 
 

@@ -166,6 +166,25 @@ class TestVerifyCertificate:
         assert [it.name for it in failed] == ["localized_0"]
         assert "interior" in failed[0].detail
 
+    @pytest.mark.parametrize("edit", [
+        lambda r: r.update(support=[0, 999]),
+        lambda r: r.update(support=[r["support"][0], -1]),
+        lambda r: r.update(support=[r["support"][0], 1.0]),
+        lambda r: r.update(support=[r["support"][0], True]),
+        lambda r: r.update(support=0),
+        lambda r: r.update(values=r["values"][:1]),
+    ], ids=["id-too-large", "id-negative", "id-float", "id-bool",
+            "support-not-list", "values-short"])
+    def test_malformed_support_fails_its_record(self, mcgee_sg, edit):
+        data = build_certificate(mcgee_sg).to_dict()
+        edit(data["localized"][0])
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        failed = [it for it in report.items if not it.ok]
+        assert [it.name for it in failed] == ["localized_0"]
+        assert "support" in failed[0].detail
+
 
 class TestCertificateSchema:
     @pytest.mark.parametrize("edit,msg", [

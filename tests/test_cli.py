@@ -107,6 +107,22 @@ class TestSubcommands:
             json.dump(data, fh)
         assert main(["verify", "--graph", gpath, "--cert", cpath]) == 1
 
+    def test_verify_out_of_range_support_fails(self, mcgee_file, tmp_path,
+                                               capsys):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        data["localized"][0]["support"] = [0, 999]
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert main(["verify", "--graph", gpath, "--cert", cpath]) == 1
+        captured = capsys.readouterr()
+        assert "[FAIL] localized_0" in captured.out
+        assert "Traceback" not in captured.out + captured.err
+
     def test_usage_errors_exit_two(self, tmp_path):
         assert main(["spectrum", "--graph", str(tmp_path / "missing.edges"),
                      "--out", str(tmp_path / "s.csv")]) == 2

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scargraph.certificate import girth_required
 from scargraph.graphs import girth, is_regular
 from scargraph.named import cycle_graph
 from scargraph.pairing import (_SwapState, _batched_cycle_scan,
@@ -147,6 +148,12 @@ class TestPairTrees:
         assert set(data) == {"d", "D", "pi", "girth", "swaps", "seed"}
         assert data["girth"] == p.achieved_girth
 
+    @pytest.mark.parametrize("d", range(2, 14))
+    @pytest.mark.parametrize("r", range(1, 7))
+    def test_required_girth_is_guaranteed_girth(self, d, r):
+        n = (d + 1) * d ** (r - 1)
+        assert girth_required(d, r) == guaranteed_girth(d, n)
+
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             pair_trees(1, 3)
@@ -258,3 +265,13 @@ class TestIdentifyOntoAnchors:
         out = identify_onto_anchors(g, tree, anchors, seed=0)
         assert is_regular(out) is None  # anchors gain degree, interior d+1
         assert girth(out) >= 6
+
+    def test_golden_digest(self):
+        # SHA-256 of the sorted edge list, recorded before the tree layouts
+        # were merged: the attach order and swap decisions must not change
+        g = identify_onto_anchors(cycle_graph(40), build_dary_tree(2, 2),
+                                  [0, 5, 10, 15, 20, 25], seed=0)
+        text = json.dumps(g.edges().tolist())
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "b31631f9ec3a9597bc8e69ff7a96050c"
+            "796ae740651e55fd77a85c9dae0ec954")

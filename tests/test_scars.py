@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import json
 import math
 from fractions import Fraction
 
@@ -222,3 +224,34 @@ class TestOddLevelWitness:
         site = carve_site(mcgee, 0, 1)
         with pytest.raises(ValueError):
             odd_level_witness(site)
+
+
+def structure_digest(sg):
+    """SHA-256 of a glued graph's integer structure: sorted edges, the
+    per-site T1/T2/T3 levels, the seeds used and the measured girth."""
+    payload = {
+        "edges": sg.graph.edges().tolist(),
+        "sites": [{key: [lv.tolist() for lv in getattr(s, key)]
+                   for key in ("t1_levels", "t2_levels", "t3_levels")}
+                  for s in sg.sites],
+        "seeds_used": [int(x) for x in sg.seeds_used],
+        "girth": int(sg.girth),
+    }
+    text = json.dumps(payload, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+class TestGoldenStructure:
+    # recorded before the tree layouts of pairing and gluing were merged:
+    # a refactor must leave every vertex id and swap decision unchanged
+    @pytest.mark.parametrize("fixture,digest", [
+        ("mcgee_sg", "cafe8ad3936f526c5f4f9d7aeb0c9454"
+                     "03efba3a371033ae5a31dff2a4958080"),
+        ("cubic6_sg2", "4d7ba8141cb9fad47bd3d5e60e2a3788"
+                       "887239fc00eeb3103bdf391ca26a887d"),
+        ("lps_sg_r2", "6618b5ff562671cc79fe1fe9119302a3"
+                      "2673dde5121fabf137ce159201b4ddce"),
+    ])
+    def test_fixture_digest(self, request, fixture, digest):
+        sg = request.getfixturevalue(fixture)
+        assert structure_digest(sg) == digest
