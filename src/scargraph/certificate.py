@@ -17,7 +17,7 @@ from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
 from .scars import ScarredGraph, localized_eigenvector
 from .spectral import extreme_eigenvalues, spectral_threshold
-from .trees import radial_spectrum
+from .trees import interior_size, radial_spectrum
 
 SCHEMA_VERSION = 1
 TOOL_VERSION = "0.1.0"
@@ -96,14 +96,11 @@ class Certificate:
     @classmethod
     def from_dict(cls, data: dict) -> "Certificate":
         """Certificate from its JSON object; raises ValueError when a key
-        is unknown or missing, at the top level or in a localized record."""
-        _check_keys(cls, data, "certificate")
-        if not isinstance(data["localized"], list):
-            raise ValueError("certificate: 'localized' must be a list")
+        is unknown or missing or a value has the wrong JSON type, at the
+        top level or in a localized record."""
+        _check_fields(cls, data, "certificate")
         for i, rec in enumerate(data["localized"]):
-            _check_keys(LocalizedRecord, rec, f"localized[{i}]")
-        if not isinstance(data["checks"], dict):
-            raise ValueError("certificate: 'checks' must be an object")
+            _check_fields(LocalizedRecord, rec, f"localized[{i}]")
         recs = [LocalizedRecord(**r) for r in data["localized"]]
         kw = {k: v for k, v in data.items() if k != "localized"}
         return cls(localized=recs, **kw)
@@ -114,7 +111,24 @@ class Certificate:
             return cls.from_dict(json.load(fh))
 
 
-def _check_keys(cls, data, where: str) -> None:
+def _is_number(v) -> bool:
+    return type(v) in (int, float)
+
+
+# JSON type of each annotated field type; a record's support and values
+# are left to verify_certificate, which fails only that record
+_KINDS = {
+    "int": (lambda v: type(v) is int, "an integer"),
+    "float": (_is_number, "a number"),
+    "bool": (lambda v: type(v) is bool, "a boolean"),
+    "str": (lambda v: isinstance(v, str), "a string"),
+    "list": (lambda v: isinstance(v, list), "a list"),
+    "dict": (lambda v: isinstance(v, dict), "an object"),
+}
+_UNTYPED = {"support", "values"}
+
+
+def _check_fields(cls, data, where: str) -> None:
     if not isinstance(data, dict):
         raise ValueError(f"{where}: expected a JSON object")
     expected = {f.name for f in fields(cls)}
@@ -124,6 +138,10 @@ def _check_keys(cls, data, where: str) -> None:
         raise ValueError(f"{where}: unknown keys {', '.join(unknown)}")
     if missing:
         raise ValueError(f"{where}: missing keys {', '.join(missing)}")
+    for f in fields(cls):
+        ok, kind = _KINDS[f.type]
+        if f.name not in _UNTYPED and not ok(data[f.name]):
+            raise ValueError(f"{where}: '{f.name}' must be {kind}")
 
 
 def _site_dict(site) -> dict:
@@ -227,6 +245,22 @@ def _site_vertices(site) -> set:
         return set()
 
 
+def _derived_fields(cert: Certificate):
+    """(girth_bound, girth_required, m, effective_alpha) as
+    build_certificate derives them from d, r, k, M and the recorded m, or
+    None when d < 2 or r is negative or at least M's bit length: a depth-r
+    site holds 2^r vertices or more, so such an r is never right, and the
+    bounds, which grow like d^r, are not evaluated."""
+    d, r, k, m = cert.d, cert.r, cert.k, cert.m
+    if d < 2 or not 0 <= r < cert.M.bit_length():
+        return None
+    alpha = r * math.log(d) / math.log(m) if m > 1 else 0.0
+    if not k:
+        return 0, 0, cert.M, alpha
+    return (girth_bound(d, r), girth_required(d, r),
+            cert.M - 2 * k * interior_size(d, r), alpha)
+
+
 def verify_certificate(g: Graph, cert: Certificate,
                        spectral_tol: float = 1e-7) -> VerificationReport:
     """Recompute every certified quantity from the graph and diff it against
@@ -236,7 +270,10 @@ def verify_certificate(g: Graph, cert: Certificate,
     judged against the fixed RESIDUAL_TOL, never against a tolerance the
     certificate records, and a check the certificate records as failed
     fails the verification too.  A record whose support holds an id
-    outside [0, M) or whose values do not match it one to one fails."""
+    outside [0, M) or whose values are not numbers matching it one to one
+    fails.  The girth bounds, the base size m (M minus 2k T1 interiors),
+    effective_alpha and the method name are re-derived, not trusted; either
+    method passes, whichever this verifier uses."""
     items = []
 
     def check(name, ok, detail=""):
@@ -245,18 +282,26 @@ def verify_certificate(g: Graph, cert: Certificate,
     check("vertex_count", g.n == cert.M, f"graph {g.n} vs certificate {cert.M}")
     deg = is_regular(g)
     check("regularity", deg == cert.d + 1, f"degree {deg}")
-    check("site_count", cert.k == len(cert.sites),
-          f"k={cert.k} vs {len(cert.sites)} sites")
+    bound, required, m, alpha = _derived_fields(cert) or (None,) * 4
+    check("site_count", cert.k == len(cert.sites) and cert.m == m,
+          f"k={cert.k} vs {len(cert.sites)} sites; m={cert.m} vs "
+          f"M - 2k|T1 interior|={m}")
     check("localized_count", len(cert.localized) == cert.k * cert.r,
           f"{len(cert.localized)} records vs k*r={cert.k * cert.r}")
+    check("girth_bound_consistent", cert.girth_bound == bound,
+          f"{cert.girth_bound} vs {bound}")
+    check("girth_required_consistent", cert.girth_required == required,
+          f"{cert.girth_required} vs {required}")
+    check("effective_alpha",
+          alpha is not None and abs(alpha - cert.effective_alpha) <= 1e-12,
+          f"{cert.effective_alpha!r} vs r log d / log m = {alpha!r}")
+    check("spectral_method", cert.spectral_method in ("dense", "iterative"),
+          repr(cert.spectral_method))
     sites = [_site_vertices(site) for site in cert.sites]
     if g.n == cert.M:
         gv = girth(g)
         gv = int(gv) if gv != math.inf else -1
         check("girth", gv == cert.girth, f"measured {gv} vs {cert.girth}")
-        check("girth_bound_consistent",
-              cert.girth_bound == girth_bound(cert.d, cert.r)
-              if cert.k else cert.girth_bound == 0)
         summary = extreme_eigenvalues(g, seed=0)
         check("lambda_max_nontrivial",
               abs(summary.lambda2_abs - cert.lambda_max_nontrivial)
@@ -270,9 +315,11 @@ def verify_certificate(g: Graph, cert: Certificate,
             ids = rec.support
             if not (isinstance(ids, list) and isinstance(rec.values, list)
                     and len(ids) == len(rec.values)
-                    and all(type(v) is int and 0 <= v < g.n for v in ids)):
+                    and all(type(v) is int and 0 <= v < g.n for v in ids)
+                    and all(_is_number(x) for x in rec.values)):
                 check(f"localized_{i}", False,
-                      f"support must hold one id in [0, {g.n}) per value")
+                      f"support must hold one id in [0, {g.n}) per value, "
+                      "and the values must be numbers")
                 continue
             nu = np.zeros(g.n)
             nu[ids] = rec.values

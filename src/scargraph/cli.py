@@ -22,6 +22,9 @@ from .qe import min_support_for_mass, scarring_witness
 from .scars import multi_glue
 from .spectral import extreme_eigenvalues
 
+# qe takes every eigenvector from one dense eigh, whatever DENSE_CUTOFF is
+QE_MAX_VERTICES = 4096
+
 
 @dataclass
 class RunConfig:
@@ -114,9 +117,9 @@ def _cmd_spectrum(args) -> int:
 def _cmd_qe(args) -> int:
     from scipy.linalg import eigh
     g = load_graph(args.graph)
-    if g.n > 4096:
-        print("qe statistics need the full eigenbasis; graph exceeds 4096 "
-              "vertices", file=sys.stderr)
+    if g.n > QE_MAX_VERTICES:
+        print("qe statistics need the full eigenbasis; graph exceeds "
+              f"{QE_MAX_VERTICES} vertices", file=sys.stderr)
         return 2
     cert = Certificate.load(args.cert)
     w, vecs = eigh(g.csr().toarray())

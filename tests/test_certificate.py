@@ -207,3 +207,106 @@ class TestCertificateSchema:
     def test_non_object_rejected(self):
         with pytest.raises(ValueError, match="JSON object"):
             Certificate.from_dict([])
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("d", "2", "an integer"),
+        ("r", 1.0, "an integer"),
+        ("k", True, "an integer"),
+        ("m", None, "an integer"),
+        ("M", "26", "an integer"),
+        ("seed", "7", "an integer"),
+        ("girth", 4.0, "an integer"),
+        ("girth_bound", "2", "an integer"),
+        ("girth_required", [2], "an integer"),
+        ("schema_version", "1", "an integer"),
+        ("lambda_max_nontrivial", "2.0", "a number"),
+        ("spectral_threshold", None, "a number"),
+        ("proposition_threshold", False, "a number"),
+        ("effective_alpha", "0.2", "a number"),
+        ("spectral_method", 1, "a string"),
+        ("tool_version", 0.1, "a string"),
+        ("seeds_used", 7, "a list"),
+        ("sites", {}, "a list"),
+    ])
+    def test_wrongly_typed_field_rejected(self, mcgee_sg, key, value, kind):
+        data = build_certificate(mcgee_sg).to_dict()
+        data[key] = value
+        with pytest.raises(ValueError,
+                           match=f"certificate: '{key}' must be {kind}"):
+            Certificate.from_dict(data)
+
+    @pytest.mark.parametrize("key,value,kind", [
+        ("eigenvalue", "0", "a number"),
+        ("witness_value", "0", "a number"),
+        ("residual_inf", None, "a number"),
+        ("residual_two", [0.0], "a number"),
+        ("site_id", "0", "an integer"),
+        ("support_in_site", 1, "a boolean"),
+        ("interior_eigenvalue", "true", "a boolean"),
+    ])
+    def test_wrongly_typed_record_field_rejected(self, mcgee_sg, key, value,
+                                                 kind):
+        data = build_certificate(mcgee_sg).to_dict()
+        data["localized"][0][key] = value
+        with pytest.raises(ValueError,
+                           match=rf"localized\[0\]: '{key}' must be {kind}"):
+            Certificate.from_dict(data)
+
+    def test_integral_number_accepted_for_a_float_field(self, mcgee_sg):
+        data = build_certificate(mcgee_sg).to_dict()
+        data["localized"][0]["eigenvalue"] = 0
+        cert = Certificate.from_dict(data)
+        assert verify_certificate(mcgee_sg.graph, cert).passed
+
+
+class TestDerivedFields:
+    @pytest.mark.parametrize("edit,failed", [
+        (lambda d: d.update(girth_required=99),
+         ["girth_required_consistent"]),
+        (lambda d: d.update(girth_bound=99), ["girth_bound_consistent"]),
+        (lambda d: d.update(m=25), ["site_count", "effective_alpha"]),
+        (lambda d: d.update(effective_alpha=5.0), ["effective_alpha"]),
+        (lambda d: d.update(spectral_method="bogus"), ["spectral_method"]),
+        (lambda d: d.update(effective_alpha=5.0, spectral_method="bogus"),
+         ["effective_alpha", "spectral_method"]),
+    ], ids=["girth-required", "girth-bound", "m", "alpha", "method",
+            "alpha-and-method"])
+    def test_edited_field_fails(self, mcgee_sg, edit, failed):
+        data = build_certificate(mcgee_sg).to_dict()
+        edit(data)
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        assert [it.name for it in report.items if not it.ok] == failed
+
+    @pytest.mark.parametrize("method", ["dense", "iterative"])
+    def test_either_method_passes(self, mcgee_sg, method):
+        data = build_certificate(mcgee_sg).to_dict()
+        data["spectral_method"] = method
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert report.passed
+
+    @pytest.mark.parametrize("r", [10 ** 6, -10 ** 400],
+                             ids=["deep", "negative"])
+    def test_impossible_depth_fails_without_evaluating(self, mcgee_sg, r):
+        # girth_bound(2, 10**6) alone would take minutes, and a huge
+        # negative r overflows a float
+        data = build_certificate(mcgee_sg).to_dict()
+        data["r"] = r
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        failed = [it.name for it in report.items if not it.ok]
+        assert failed == ["site_count", "localized_count",
+                          "girth_bound_consistent",
+                          "girth_required_consistent", "effective_alpha"]
+
+
+@pytest.mark.parametrize("value", [None, "0.5", [0.5]])
+def test_non_numeric_value_fails_its_record(mcgee_sg, value):
+    data = build_certificate(mcgee_sg).to_dict()
+    data["localized"][0]["values"][0] = value
+    report = verify_certificate(mcgee_sg.graph, Certificate.from_dict(data))
+    failed = [it for it in report.items if not it.ok]
+    assert [it.name for it in failed] == ["localized_0"]
+    assert "numbers" in failed[0].detail

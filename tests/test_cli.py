@@ -3,9 +3,10 @@ import json
 
 import pytest
 
-from scargraph.cli import RunConfig, main, run_pipeline
+from scargraph.cli import QE_MAX_VERTICES, RunConfig, main, run_pipeline
 from scargraph.graphs import save_edge_list
-from scargraph.named import mcgee_graph
+from scargraph.named import cycle_graph, mcgee_graph
+from scargraph.spectral import DENSE_CUTOFF
 
 
 @pytest.fixture()
@@ -153,3 +154,47 @@ class TestSubcommands:
         assert main(["verify", "--graph", gpath, "--cert", cpath]) == 2
         err = capsys.readouterr().err
         assert msg in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("edit,msg", [
+        (lambda d: d["localized"][0].update(eigenvalue="0"),
+         "localized[0]: 'eigenvalue' must be a number"),
+        (lambda d: d["localized"][0].update(witness_value="0"),
+         "localized[0]: 'witness_value' must be a number"),
+        (lambda d: d.update(d="2"), "certificate: 'd' must be an integer"),
+        (lambda d: d.update(spectral_method=None),
+         "certificate: 'spectral_method' must be a string"),
+        (lambda d: d.update(d=1), "d must be at least 2"),
+    ], ids=["eigenvalue-string", "witness-string", "d-string",
+            "method-null", "d-one"])
+    def test_verify_wrongly_typed_field_exits_two(self, mcgee_file, tmp_path,
+                                                  capsys, edit, msg):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        edit(data)
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert main(["verify", "--graph", gpath, "--cert", cpath]) == 2
+        err = capsys.readouterr().err
+        assert msg in err and "Traceback" not in err
+
+    def test_qe_rejects_graph_beyond_full_basis_limit(self, mcgee_file,
+                                                      tmp_path, capsys):
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out",
+              str(tmp_path / "g.edges"), "--cert", cpath])
+        big = str(tmp_path / "big.edges")
+        save_edge_list(cycle_graph(QE_MAX_VERTICES + 1), big)
+        qpath = tmp_path / "qe.csv"
+        capsys.readouterr()
+        assert main(["qe", "--graph", big, "--cert", cpath,
+                     "--out", str(qpath)]) == 2
+        err = capsys.readouterr().err
+        assert "full eigenbasis" in err and str(QE_MAX_VERTICES) in err
+        assert not qpath.exists()
+        # the full-basis limit does not follow the eigensolver's cutoff
+        assert QE_MAX_VERTICES == 4096 > DENSE_CUTOFF

@@ -3,10 +3,14 @@ import math
 import numpy as np
 import pytest
 
+from scargraph.base import lps_graph
+from scargraph.certificate import (Certificate, build_certificate,
+                                   verify_certificate)
 from scargraph.named import (complete_graph, cycle_graph, petersen_graph,
                              random_regular_graph)
-from scargraph.scars import interface_quadratic_bound
-from scargraph.spectral import (_extreme_dense, _extreme_iterative,
+from scargraph.scars import interface_quadratic_bound, multi_glue
+from scargraph.spectral import (DENSE_CUTOFF, _extreme_dense,
+                                _extreme_iterative,
                                 extreme_eigenvalues, kahale_check,
                                 kahale_instance, kahale_sequence, residual,
                                 second_eigenvector, spectral_threshold,
@@ -55,6 +59,64 @@ class TestExtremeEigenvalues:
         g = build_graph(4, [(0, 1), (2, 3)])
         with pytest.raises(ValueError):
             extreme_eigenvalues(g)
+
+
+@pytest.fixture(scope="module")
+def lps13():
+    return lps_graph(13, 17)
+
+
+@pytest.fixture(scope="module")
+def lps13_sg(lps13):
+    return multi_glue(lps13, 1, 1, seed=1)
+
+
+@pytest.fixture(scope="module")
+def lps13_sg_dense(lps13_sg):
+    return _extreme_dense(lps13_sg.graph, 2)
+
+
+@pytest.fixture(scope="module", params=["cubic", "quartic", "lps13",
+                                        "lps13-glued"])
+def above_cutoff(request):
+    """A graph above DENSE_CUTOFF (at most 4096 vertices) and its dense
+    oracle summary."""
+    if request.param == "lps13-glued":
+        return (request.getfixturevalue("lps13_sg").graph,
+                request.getfixturevalue("lps13_sg_dense"))
+    g = {"cubic": lambda: random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1),
+         "quartic": lambda: random_regular_graph(DENSE_CUTOFF + 2, 4, seed=2),
+         "lps13": lambda: request.getfixturevalue("lps13")}[request.param]()
+    return g, _extreme_dense(g, 2)
+
+
+class TestAboveDenseCutoff:
+    def test_lanczos_matches_dense_oracle(self, above_cutoff):
+        g, dense = above_cutoff
+        assert DENSE_CUTOFF < g.n <= 4096
+        s = extreme_eigenvalues(g)
+        assert s.method == "iterative"
+        assert abs(s.lambda2_abs - dense.lambda2_abs) <= 1e-8
+
+    def test_second_eigenvector(self, above_cutoff):
+        g, dense = above_cutoff
+        lam, vec = second_eigenvector(g)
+        assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+        assert residual(g, vec, lam)[1] <= 1e-8
+        assert abs(abs(lam) - dense.lambda2_abs) <= 1e-8
+
+    def test_dense_certificate_still_verifies(self, lps13_sg, lps13_sg_dense,
+                                              tmp_path):
+        # a certificate built when this graph took the dense path
+        cert = build_certificate(lps13_sg)
+        assert cert.spectral_method == "iterative" and cert.all_ok
+        data = cert.to_dict()
+        data.update(spectral_method="dense",
+                    lambda_max_nontrivial=lps13_sg_dense.lambda2_abs)
+        path = tmp_path / "dense.json"
+        Certificate.from_dict(data).save(path)
+        report = verify_certificate(lps13_sg.graph, Certificate.load(path))
+        assert report.passed, report.summary()
 
 
 class TestResidual:
