@@ -14,9 +14,9 @@ from .trees import (DaryTree, RadialSpectrum, adjacent_level_mass_ratios,
                     build_dary_tree, interior_size, level_mass_profile,
                     level_sizes, lift_radial, nearest_radial_eigenvalue,
                     quotient_matrix, radial_spectrum, tree_size)
-from .pairing import (Pairing, identify_onto_anchors, pair_trees,
-                      path_count_cumulative, path_count_exact,
-                      path_count_total, girth_target, guaranteed_girth)
+from .pairing import (Pairing, pair_trees, path_count_cumulative,
+                      path_count_exact, path_count_total, girth_target,
+                      guaranteed_girth)
 from .base import (BaseReport, LpsParams, legendre_symbol, load_graph,
                    lps_graph, quaternion_generators, validate_base)
 from .scars import (ScarredGraph, ScarSite, carve_site, expected_vertex_count,

@@ -156,8 +156,22 @@ def _site_dict(site) -> dict:
     }
 
 
-def build_certificate(sg: ScarredGraph, residual_tol: float = RESIDUAL_TOL,
-                      seed: int = 0, timestamp: bool = True) -> Certificate:
+def record_shape_error(rec: LocalizedRecord, n: int) -> str:
+    """Why a localized record cannot be read as a vector on n vertices, or
+    "" when its support holds one id in [0, n) per value and the values are
+    numbers."""
+    ids = rec.support
+    if (isinstance(ids, list) and isinstance(rec.values, list)
+            and len(ids) == len(rec.values)
+            and all(type(v) is int and 0 <= v < n for v in ids)
+            and all(_is_number(x) for x in rec.values)):
+        return ""
+    return (f"support must hold one id in [0, {n}) per value, "
+            "and the values must be numbers")
+
+
+def build_certificate(sg: ScarredGraph, seed: int = 0,
+                      timestamp: bool = True) -> Certificate:
     """Measure every certified quantity of a scarred graph; failures are
     recorded in the checks map, never raised."""
     g = sg.graph
@@ -192,7 +206,7 @@ def build_certificate(sg: ScarredGraph, residual_tol: float = RESIDUAL_TOL,
                     all(int(v) in allowed for v in support),
                     abs(float(lam)) < 2.0 * math.sqrt(d)))
         checks["localized_residuals"] = all(
-            rec.residual_inf <= residual_tol for rec in localized)
+            rec.residual_inf <= RESIDUAL_TOL for rec in localized)
         checks["localized_supports"] = all(
             rec.support_in_site for rec in localized)
         checks["localized_interior"] = all(
@@ -312,15 +326,11 @@ def verify_certificate(g: Graph, cert: Certificate,
         check("proposition_threshold",
               abs(prop - cert.proposition_threshold) < 1e-12)
         for i, rec in enumerate(cert.localized):
-            ids = rec.support
-            if not (isinstance(ids, list) and isinstance(rec.values, list)
-                    and len(ids) == len(rec.values)
-                    and all(type(v) is int and 0 <= v < g.n for v in ids)
-                    and all(_is_number(x) for x in rec.values)):
-                check(f"localized_{i}", False,
-                      f"support must hold one id in [0, {g.n}) per value, "
-                      "and the values must be numbers")
+            bad = record_shape_error(rec, g.n)
+            if bad:
+                check(f"localized_{i}", False, bad)
                 continue
+            ids = rec.support
             nu = np.zeros(g.n)
             nu[ids] = rec.values
             norm = np.linalg.norm(nu)

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .base import load_graph, lps_graph, validate_base
-from .certificate import Certificate, build_certificate, verify_certificate
+from .certificate import (Certificate, build_certificate, record_shape_error,
+                          verify_certificate)
 from .graphs import ConstructionError, EdgeListFormatError, save_edge_list
 from .pairing import pair_trees
 from .qe import min_support_for_mass, scarring_witness
@@ -37,7 +38,6 @@ class RunConfig:
     lps_q: int | None = None
     out_graph: str | None = None
     out_cert: str | None = None
-    residual_tol: float = 1e-10
 
     def validate(self):
         if (self.base_file is None) == (self.lps_p is None):
@@ -60,7 +60,7 @@ def run_pipeline(cfg: RunConfig) -> Certificate:
     if bad:
         raise ConstructionError(f"base validation failed: {', '.join(bad)}")
     sg = multi_glue(h, cfg.sites, cfg.r, seed=cfg.seed)
-    cert = build_certificate(sg, residual_tol=cfg.residual_tol)
+    cert = build_certificate(sg)
     if cfg.out_graph:
         save_edge_list(sg.graph, cfg.out_graph)
     if cfg.out_cert:
@@ -114,6 +114,15 @@ def _cmd_spectrum(args) -> int:
     return 0
 
 
+def _check_records(cert: Certificate, n: int) -> None:
+    """Raise ValueError naming the first localized record that does not
+    read as a vector on n vertices."""
+    for i, rec in enumerate(cert.localized):
+        bad = record_shape_error(rec, n)
+        if bad:
+            raise ValueError(f"certificate: localized[{i}]: {bad}")
+
+
 def _cmd_qe(args) -> int:
     from scipy.linalg import eigh
     g = load_graph(args.graph)
@@ -122,6 +131,7 @@ def _cmd_qe(args) -> int:
               f"{QE_MAX_VERTICES} vertices", file=sys.stderr)
         return 2
     cert = Certificate.load(args.cert)
+    _check_records(cert, g.n)
     w, vecs = eigh(g.csr().toarray())
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         cw = csv.writer(fh)
@@ -150,6 +160,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_report(args) -> int:
     cert = Certificate.load(args.cert)
+    _check_records(cert, cert.M)
     print(f"construction: d={cert.d} r={cert.r} sites={cert.k} seed={cert.seed}")
     print(f"vertices: M={cert.M} (base m={cert.m}); effective alpha "
           f"{cert.effective_alpha:.4f}")

@@ -8,6 +8,12 @@ traversals stay cache friendly; Python adjacency lists and a scipy sparse
 matrix are derived lazily and cached.  A :class:`Graph` is immutable after
 construction, so all queries are safe to run concurrently.
 
+Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
+the layers around a vertex set, the swap engine's far-partner search) come
+from one frontier kernel, :func:`_hop_distances`: a level-synchronous BFS
+from a set of sources over raw CSR arrays that gathers a whole level's
+neighbour lists at once instead of looping in Python per edge.
+
 Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
 kernel that counts non-backtracking walks for a chunk of sources at once,
 as sparse integer matrices: ``P_1 = A[S]``, ``P_2 = P_1 A - P_0 D`` and
@@ -27,6 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 INFINITE_GIRTH = math.inf
 
@@ -147,23 +154,50 @@ class DistanceMap:
     cap: int | None = None
 
 
+def _neighbours(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
+    """The neighbour lists of ``rows`` in the CSR graph (indptr, indices),
+    concatenated by one index array, and the length of each list."""
+    starts = indptr[rows]
+    counts = indptr[rows + 1] - starts
+    ends = np.cumsum(counts)
+    return indices[np.arange(ends[-1])
+                   + np.repeat(starts - ends + counts, counts)], counts
+
+
+def _hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
+                   cap: int | None = None) -> np.ndarray:
+    """Hop distance from the nearest of ``sources`` to every vertex of the
+    CSR graph (indptr, indices), as int64; -1 marks vertices beyond ``cap``
+    or unreachable.
+
+    Level-synchronous: each level gathers the neighbour lists of the whole
+    frontier at once, keeps the vertices not yet reached and de-duplicates
+    them.  To de-duplicate in O(frontier), the position of each candidate
+    is written into ``slot``; of several copies of a vertex exactly one
+    finds its own position there afterwards.
+    """
+    n = len(indptr) - 1
+    dist = np.full(n, -1, dtype=np.int64)
+    slot = np.empty(n, dtype=np.int64)
+    frontier = np.unique(np.asarray(sources, dtype=np.int64))
+    dist[frontier] = 0
+    level = 0
+    while frontier.size and (cap is None or level < cap):
+        nbrs = _neighbours(indptr, indices, frontier)[0]
+        nbrs = nbrs[dist[nbrs] < 0]
+        pos = np.arange(len(nbrs))
+        slot[nbrs] = pos
+        frontier = nbrs[slot[nbrs] == pos]
+        level += 1
+        dist[frontier] = level
+    return dist
+
+
 def bfs_distances(g: Graph, source: int, cap: int | None = None) -> DistanceMap:
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    adj = g.adjacency_lists()
-    dist = np.full(g.n, -1, dtype=np.int64)
-    dist[source] = 0
-    q = deque([source])
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        if cap is not None and dx >= cap:
-            continue
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                q.append(y)
-    return DistanceMap(source, dist, cap)
+    return DistanceMap(source, _hop_distances(g.indptr, g.indices, [source],
+                                              cap), cap)
 
 
 # Entries one path-count matrix may hold per chunk of sources; the chunk is
@@ -333,37 +367,27 @@ def ball(g: Graph, v: int, radius: int) -> Ball:
     layers = [np.sort(np.nonzero(dm.dist == r)[0]) for r in range(radius + 1)]
     layers = [lay for lay in layers if len(lay)]
     verts = np.concatenate(layers) if layers else np.array([v], dtype=np.int64)
-    local = {int(w): i for i, w in enumerate(verts)}
-    edges = []
-    for w in verts:
-        for z in g.neighbors(int(w)):
-            z = int(z)
-            if z in local and w < z:
-                edges.append((local[int(w)], local[z]))
-    sub = build_graph(len(verts), edges)
+    # the ball's rows in local ids; an outside end is -1, so src < dst keeps
+    # each inside edge once
+    local = np.full(g.n, -1, dtype=np.int64)
+    local[verts] = np.arange(len(verts))
+    nbrs, counts = _neighbours(g.indptr, g.indices, verts)
+    src = np.repeat(np.arange(len(verts)), counts)
+    dst = local[nbrs]
+    keep = src < dst
+    sub = build_graph(len(verts), np.column_stack([src[keep], dst[keep]]))
     # the ball is connected, so acyclic iff m = n - 1
     return Ball(v, radius, verts, [lay.tolist() for lay in layers],
                 sub, sub.num_edges == sub.n - 1)
 
 
 def is_bipartite(g: Graph) -> bool:
-    adj = g.adjacency_lists()
-    color = np.full(g.n, -1, dtype=np.int8)
-    for s in range(g.n):
-        if color[s] >= 0:
-            continue
-        color[s] = 0
-        q = deque([s])
-        while q:
-            x = q.popleft()
-            cx = color[x]
-            for y in adj[x]:
-                if color[y] < 0:
-                    color[y] = 1 - cx
-                    q.append(y)
-                elif color[y] == cx:
-                    return False
-    return True
+    """True iff no edge joins two vertices at even hop distance from one
+    root per connected component, i.e. iff the BFS parity is a 2-coloring."""
+    _, labels = connected_components(g.csr(), directed=False)
+    roots = np.unique(labels, return_index=True)[1]
+    side = _hop_distances(g.indptr, g.indices, roots) % 2
+    return not (np.repeat(side, g.degrees()) == side[g.indices]).any()
 
 
 def is_regular(g: Graph):

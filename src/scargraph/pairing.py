@@ -21,8 +21,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConstructionError, Graph, build_graph
-from .trees import DaryTree, tree_layout
+from .graphs import ConstructionError, Graph, _hop_distances, build_graph
+from .trees import tree_layout
 
 _BIG = 10 ** 9
 
@@ -95,9 +95,10 @@ def girth_required(d: int, r: int) -> int:
 
 class _SwapState:
     """Adjacency kept simultaneously as Python lists (for scalar BFS) and
-    CSR arrays (for _bfs_mark's gathers and the padded neighbour table each
-    _batched_cycle_scan builds); swaps only ever replace one neighbor entry
-    by another, so degrees never change and both stay in sync."""
+    CSR arrays (for the far-partner searches of graphs._hop_distances and
+    the padded neighbour table each _batched_cycle_scan builds); swaps only
+    ever replace one neighbor entry by another, so degrees never change and
+    both stay in sync."""
 
     def __init__(self, n: int, edges):
         lists = [[] for _ in range(n)]
@@ -155,29 +156,6 @@ def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
                 dist[z] = dw + 1
                 q.append(z)
     return _BIG
-
-
-def _bfs_mark(state: _SwapState, src: int, max_depth: int) -> np.ndarray:
-    """Boolean mask of vertices within max_depth hops of src (CSR gather)."""
-    indptr, indices = state.indptr, state.indices
-    seen = np.zeros(state.n, dtype=bool)
-    seen[src] = True
-    frontier = np.array([src], dtype=np.int64)
-    for _ in range(max_depth):
-        starts = indptr[frontier]
-        counts = indptr[frontier + 1] - starts
-        total = int(counts.sum())
-        if total == 0:
-            break
-        base = np.repeat(starts, counts)
-        offs = np.arange(total) - np.repeat(np.cumsum(counts) - counts, counts)
-        nbrs = indices[base + offs]
-        new = nbrs[~seen[nbrs]]
-        if new.size == 0:
-            break
-        seen[new] = True
-        frontier = np.unique(new)
-    return seen
 
 
 def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
@@ -265,6 +243,11 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
                                slot_parent[slots[j]])
         slots[i], slots[j] = slots[j], slots[i]
 
+    def far_from(x, radius):
+        # indices of the points more than ``radius`` hops from x
+        return np.nonzero(_hop_distances(state.indptr, state.indices, [x],
+                                         radius)[points] < 0)[0]
+
     while True:
         parents = slot_parent[slots]
         c = _batched_cycle_scan(state, points, parents, target - 1)
@@ -278,8 +261,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
                                    g) > g:
                 continue  # an earlier swap in this pass already fixed it
             # far partner: nothing within distance target-1 of x
-            seen = _bfs_mark(state, x, target - 1)
-            far = np.nonzero(~seen[points])[0]
+            far = far_from(x, target - 1)
             if far.size:
                 do_swap(i, int(far[0]))
                 swaps += 1
@@ -287,8 +269,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             elif g < guaranteed:
                 # the path-count bound promises a partner beyond the
                 # guaranteed radius; a swap with it creates nothing <= g
-                seen = _bfs_mark(state, x, guaranteed - 2)
-                far = np.nonzero(~seen[points])[0]
+                far = far_from(x, guaranteed - 2)
                 if not far.size:
                     raise ConstructionError(
                         f"no partner beyond distance {guaranteed - 2} at "
@@ -392,30 +373,3 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
             f"pairing girth {girth} below guaranteed {guaranteed}")
     return Pairing(d, depth, slots, state.to_graph(), girth, res.swaps,
                    seed)
-
-
-def identify_onto_anchors(g: Graph, tree: DaryTree, anchors,
-                          seed: int = 0) -> Graph:
-    """Attach a tree to ``g`` by identifying its leaves with the anchor
-    vertices, choosing the bijection by girth-improving swaps on the
-    combined graph (ambient cycles count); stops at a local optimum of
-    (girth, -number of shortest cycles)."""
-    anchors = np.asarray(list(anchors), dtype=np.int64)
-    if tree.depth < 1:
-        raise ValueError("a depth-0 tree has no leaves distinct from its root")
-    nleaves = len(tree.leaves)
-    if len(anchors) != nleaves:
-        raise ValueError(f"need {nleaves} anchors, got {len(anchors)}")
-    if len(np.unique(anchors)) != len(anchors):
-        raise ValueError("anchors must be pairwise distinct")
-    if anchors.size and (anchors.min() < 0 or anchors.max() >= g.n):
-        raise ValueError("anchor out of range")
-    edges = [tuple(e) for e in g.edges()]
-    # the tree's interior gets ids g.n.. in level order
-    slots, slot_parent, _, total = _attach_tree(
-        edges, tree.d, tree.depth, anchors, g.n, np.random.default_rng(seed))
-    state = _SwapState(total, edges)
-    cap = 2 * tree.depth + 2 * g.n  # no cycle through the tree can be longer
-    _run_swaps(state, anchors, slots, slot_parent, cap, 0,
-               max_swaps=10 * nleaves + 1000)
-    return state.to_graph()

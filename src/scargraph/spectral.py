@@ -13,7 +13,7 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .graphs import Graph, is_connected, is_regular
+from .graphs import Graph, _hop_distances, is_connected, is_regular
 from .trees import DaryTree
 
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
@@ -229,21 +229,7 @@ def kahale_instance(g: Graph, X, h: int, s_by_layer, mu: float) -> KahaleInstanc
         raise ValueError("h must be at least 1")
     if len(s_by_layer) < h + 1:
         raise ValueError("need s values for layers 0..h")
-    dist = np.full(g.n, -1, dtype=np.int64)
-    for v in X:
-        dist[v] = 0
-    from collections import deque
-    adj = g.adjacency_lists()
-    q = deque(X)
-    while q:
-        x = q.popleft()
-        dx = dist[x]
-        if dx >= h:
-            continue
-        for y in adj[x]:
-            if dist[y] < 0:
-                dist[y] = dx + 1
-                q.append(y)
+    dist = _hop_distances(g.indptr, g.indices, X, h)
     layers = [np.nonzero(dist == i)[0] for i in range(h + 1)]
     s = np.zeros(g.n)
     for i, lay in enumerate(layers):

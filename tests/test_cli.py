@@ -181,6 +181,29 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert msg in err and "Traceback" not in err
 
+    @pytest.mark.parametrize("support", [[0, 999], 5, [-1]],
+                             ids=["beyond-M", "not-a-list", "negative"])
+    @pytest.mark.parametrize("cmd", ["qe", "report"])
+    def test_malformed_support_exits_two(self, mcgee_file, tmp_path, capsys,
+                                         cmd, support):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        data["localized"][0]["support"] = support
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        qpath = tmp_path / "qe.csv"
+        argv = {"qe": ["qe", "--graph", gpath, "--cert", cpath,
+                       "--out", str(qpath)],
+                "report": ["report", "--cert", cpath]}[cmd]
+        capsys.readouterr()
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert "localized[0]: support must hold" in err
+        assert "Traceback" not in err and not qpath.exists()
+
     def test_qe_rejects_graph_beyond_full_basis_limit(self, mcgee_file,
                                                       tmp_path, capsys):
         cpath = str(tmp_path / "cert.json")

@@ -15,6 +15,7 @@ from scargraph.graphs import (_CHUNK_ENTRIES, EdgeListFormatError,
                               shortest_cycle_through, vertex_expansion)
 from scargraph.named import (complete_graph, cycle_graph, mcgee_graph,
                              path_graph, petersen_graph, star_graph)
+from scargraph.spectral import kahale_instance
 
 from conftest import brute_force_girth, random_small_graph
 
@@ -176,6 +177,24 @@ class TestBall:
                 if gv > 2 * radius + 1:
                     assert ball(g, 0, radius).is_tree
 
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_networkx_ego_graph(self, g, data):
+        if g.n == 0:
+            return
+        v = data.draw(st.integers(0, g.n - 1))
+        radius = data.draw(st.integers(0, 5))
+        G = to_networkx(g)
+        ego = nx.ego_graph(G, v, radius=radius)
+        dist = nx.single_source_shortest_path_length(G, v, cutoff=radius)
+        b = ball(g, v, radius)
+        assert set(b.vertices.tolist()) == set(ego)
+        assert b.layers == [sorted(u for u in dist if dist[u] == i)
+                            for i in range(max(dist.values()) + 1)]
+        edges = b.vertices[b.subgraph.edges()].tolist()
+        assert {frozenset(e) for e in edges} == set(map(frozenset, ego.edges()))
+        assert b.is_tree == nx.is_tree(ego)
+
 
 class TestBipartiteRegular:
     def test_examples(self):
@@ -184,6 +203,27 @@ class TestBipartiteRegular:
         assert is_regular(petersen_graph()) == 3
         assert is_regular(star_graph(3)) is None
         assert is_connected(petersen_graph())
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_bipartite_matches_networkx(self, g):
+        assert is_bipartite(g) == nx.is_bipartite(to_networkx(g))
+
+
+class TestMultiSourceLayers:
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_kahale_layers_match_networkx(self, g, data):
+        if g.n == 0:
+            return
+        X = data.draw(st.lists(st.integers(0, g.n - 1), min_size=1,
+                               max_size=4))
+        h = data.draw(st.integers(1, 5))
+        inst = kahale_instance(g, X, h, [1.0] * (h + 1), 1.0)
+        dist = nx.multi_source_dijkstra_path_length(to_networkx(g), set(X),
+                                                    cutoff=h)
+        assert [lay.tolist() for lay in inst.layers] == [
+            sorted(u for u in dist if dist[u] == i) for i in range(h + 1)]
 
 
 class TestVertexExpansion:

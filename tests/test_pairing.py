@@ -9,14 +9,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scargraph.certificate import girth_required
-from scargraph.graphs import girth, is_regular
-from scargraph.named import cycle_graph
+from scargraph.graphs import girth
 from scargraph.pairing import (_SwapState, _batched_cycle_scan,
                                _cycle_through_edge, guaranteed_girth,
-                               identify_onto_anchors, pair_trees,
-                               path_count_cumulative, path_count_exact,
-                               path_count_total)
-from scargraph.trees import build_dary_tree
+                               pair_trees, path_count_cumulative,
+                               path_count_exact, path_count_total)
 
 
 class TestPathCountFormulas:
@@ -227,51 +224,3 @@ class TestBatchedCycleScan:
                         for x, p in zip(points, parents)]
             got = _batched_cycle_scan(state, points, parents, cutoff)
             assert got.tolist() == expected, cutoff
-
-
-class TestIdentifyOntoAnchors:
-    def test_star_on_far_cycle_anchors(self):
-        g = cycle_graph(20)
-        tree = build_dary_tree(2, 1)
-        out = identify_onto_anchors(g, tree, [0, 7, 14], seed=0)
-        assert out.n == 21
-        # cycles through the new center: 2 + pairwise anchor distance >= 8
-        assert girth(out) == 8
-
-    def test_depth_zero_rejected(self):
-        with pytest.raises(ValueError, match="depth-0"):
-            identify_onto_anchors(cycle_graph(6), build_dary_tree(2, 0), [0])
-
-    def test_anchor_count_mismatch(self):
-        with pytest.raises(ValueError, match="anchors"):
-            identify_onto_anchors(cycle_graph(20), build_dary_tree(2, 1), [0, 7])
-
-    def test_duplicate_anchors(self):
-        with pytest.raises(ValueError, match="distinct"):
-            identify_onto_anchors(cycle_graph(20), build_dary_tree(2, 1),
-                                  [0, 7, 7])
-
-    def test_far_anchors_leave_girth_at_input_level(self):
-        # anchors farther than 2*depth + girth keep all new cycles longer
-        g = cycle_graph(30)
-        tree = build_dary_tree(2, 1)
-        out = identify_onto_anchors(g, tree, [0, 10, 20], seed=1)
-        assert girth(out) == min(30, 2 + 10)
-
-    def test_deeper_tree_improves_over_worst_case(self):
-        g = cycle_graph(24)
-        tree = build_dary_tree(2, 2)
-        anchors = [0, 2, 6, 10, 14, 18]
-        out = identify_onto_anchors(g, tree, anchors, seed=0)
-        assert is_regular(out) is None  # anchors gain degree, interior d+1
-        assert girth(out) >= 6
-
-    def test_golden_digest(self):
-        # SHA-256 of the sorted edge list, recorded before the tree layouts
-        # were merged: the attach order and swap decisions must not change
-        g = identify_onto_anchors(cycle_graph(40), build_dary_tree(2, 2),
-                                  [0, 5, 10, 15, 20, 25], seed=0)
-        text = json.dumps(g.edges().tolist())
-        assert hashlib.sha256(text.encode()).hexdigest() == (
-            "b31631f9ec3a9597bc8e69ff7a96050c"
-            "796ae740651e55fd77a85c9dae0ec954")
