@@ -25,6 +25,8 @@ from .spectral import extreme_eigenvalues
 
 # qe takes every eigenvector from one dense eigh, whatever DENSE_CUTOFF is
 QE_MAX_VERTICES = 4096
+# consecutive eigenvalues at most this far apart share one eigenspace
+EIGENSPACE_GAP = 1e-8
 
 
 @dataclass
@@ -123,6 +125,39 @@ def _check_records(cert: Certificate, n: int) -> None:
             raise ValueError(f"certificate: localized[{i}]: {bad}")
 
 
+def qe_rows(w, vecs, S) -> list:
+    """The ``qe`` table of ascending eigenvalues ``w`` with orthonormal
+    eigenvector columns ``vecs``, for the sorted vertex list ``S``.
+
+    Consecutive eigenvalues at most ``EIGENSPACE_GAP`` apart form one
+    eigenspace with a basis V of k columns.  Each of its k rows is (mean
+    eigenvalue, k, min_support_0.5, witness, witness_max), computed from the
+    projector density p = diag(V V^T) / k and from V_S, so no entry depends
+    on the basis chosen inside the eigenspace:
+
+    - ``min_support_0.5``: the fewest vertices carrying half of p;
+    - ``witness``: the scarring witness of sqrt(p) on S;
+    - ``witness_max``: lambda_max(V_S^T V_S) - |S|/M, the largest witness of
+      any unit vector in the eigenspace.
+
+    For a simple eigenvalue these are the eigenvector's own statistics.
+    """
+    n = len(w)
+    cuts = np.flatnonzero(np.diff(w) > EIGENSPACE_GAP) + 1
+    rows = []
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        k = int(hi - lo)
+        V = vecs[:, lo:hi]
+        amp = np.sqrt(np.einsum("ij,ij->i", V, V) / k)
+        size, _ = min_support_for_mass(amp, 0.5)
+        wit = top = 0.0
+        if S:
+            wit = scarring_witness(amp, S, n).value
+            top = np.linalg.norm(V[S], 2) ** 2 - len(S) / n
+        rows += [(float(w[lo:hi].mean()), k, size, wit, float(top))] * k
+    return rows
+
+
 def _cmd_qe(args) -> int:
     from scipy.linalg import eigh
     g = load_graph(args.graph)
@@ -131,21 +166,22 @@ def _cmd_qe(args) -> int:
               f"{QE_MAX_VERTICES} vertices", file=sys.stderr)
         return 2
     cert = Certificate.load(args.cert)
+    if cert.M != g.n:
+        raise ValueError(f"certificate is for M = {cert.M} vertices but the "
+                         f"graph has {g.n}")
     _check_records(cert, g.n)
-    w, vecs = eigh(g.csr().toarray())
+    S = sorted({v for rec in cert.localized for v in rec.support})
+    # the table is basis-invariant, so LAPACK's divide-and-conquer solver
+    # (evd) may choose any basis; overwriting the Fortran-ordered matrix
+    # keeps the eigenvectors in its buffer instead of a second n x n array
+    w, vecs = eigh(g.csr().toarray(order="F"), driver="evd",
+                   overwrite_a=True, check_finite=False)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:
         cw = csv.writer(fh)
-        cw.writerow(["lambda", "min_support_0.5", "witness"])
-        supports = set()
-        for rec in cert.localized:
-            supports.update(rec.support)
-        S = sorted(supports)
-        for i in range(g.n):
-            psi = vecs[:, i]
-            size, _ = min_support_for_mass(psi, 0.5)
-            wit = scarring_witness(psi / np.linalg.norm(psi), S, g.n).value \
-                if S else 0.0
-            cw.writerow([repr(float(w[i])), size, repr(wit)])
+        cw.writerow(["lambda", "multiplicity", "min_support_0.5", "witness",
+                     "witness_max"])
+        for lam, k, size, wit, top in qe_rows(w, vecs, S):
+            cw.writerow([repr(lam), k, size, repr(wit), repr(top)])
     print(f"wrote {g.n} rows to {args.out}")
     return 0
 
@@ -214,7 +250,7 @@ def _build_parser() -> argparse.ArgumentParser:
     s.add_argument("--k", type=int, default=4)
     s.add_argument("--out", required=True)
 
-    q = sub.add_parser("qe", help="per-eigenvector localization statistics")
+    q = sub.add_parser("qe", help="per-eigenspace localization statistics")
     q.add_argument("--graph", required=True)
     q.add_argument("--cert", required=True)
     q.add_argument("--out", required=True)

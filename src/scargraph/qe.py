@@ -43,7 +43,9 @@ def qe_average(basis, a, orth_tol: float = 1e-8) -> float:
     mean-zero test function with sup norm at most 1.
 
     ``basis`` holds the vectors as columns.  Diagnostic only: needs the full
-    basis, so it is restricted to graphs small enough to diagonalize.
+    basis, so it is restricted to graphs small enough to diagonalize.  The
+    average depends on the basis chosen inside each degenerate eigenspace:
+    rotating the basis of a repeated eigenvalue can change it.
     """
     basis = np.asarray(basis, dtype=float)
     a = np.asarray(a, dtype=float)

@@ -1,11 +1,17 @@
 import csv
 import json
 
+import numpy as np
 import pytest
+from scipy.linalg import eigh
 
-from scargraph.cli import QE_MAX_VERTICES, RunConfig, main, run_pipeline
+from scargraph.certificate import build_certificate
+from scargraph.cli import (QE_MAX_VERTICES, RunConfig, main, qe_rows,
+                           run_pipeline)
 from scargraph.graphs import save_edge_list
 from scargraph.named import cycle_graph, mcgee_graph
+from scargraph.qe import min_support_for_mass, scarring_witness
+from scargraph.scars import multi_glue
 from scargraph.spectral import DENSE_CUTOFF
 
 
@@ -89,7 +95,8 @@ class TestSubcommands:
                      "--out", qpath]) == 0
         with open(qpath) as fh:
             rows = list(csv.reader(fh))
-        assert rows[0] == ["lambda", "min_support_0.5", "witness"]
+        assert rows[0] == ["lambda", "multiplicity", "min_support_0.5",
+                           "witness", "witness_max"]
         assert len(rows) == 27  # header + 26 eigenvectors
 
         assert main(["verify", "--graph", gpath, "--cert", cpath]) == 0
@@ -221,3 +228,116 @@ class TestSubcommands:
         assert not qpath.exists()
         # the full-basis limit does not follow the eigensolver's cutoff
         assert QE_MAX_VERTICES == 4096 > DENSE_CUTOFF
+
+    def test_qe_rejects_certificate_of_another_size(self, mcgee_file,
+                                                    tmp_path, capsys):
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out",
+              str(tmp_path / "g.edges"), "--cert", cpath])
+        other = str(tmp_path / "cycle.edges")
+        save_edge_list(cycle_graph(100), other)
+        qpath = tmp_path / "qe.csv"
+        capsys.readouterr()
+        assert main(["qe", "--graph", other, "--cert", cpath,
+                     "--out", str(qpath)]) == 2
+        err = capsys.readouterr().err
+        assert "M = 26" in err and "100" in err and "Traceback" not in err
+        assert not qpath.exists()
+
+
+def _certified_support(sg):
+    cert = build_certificate(sg)
+    return sorted({v for rec in cert.localized for v in rec.support})
+
+
+@pytest.fixture(scope="module", params=["petersen", "mcgee",
+                                        "glued-cubic6-k4"])
+def degenerate_case(request):
+    """A graph with repeated eigenvalues and a vertex set S: Petersen and
+    McGee with a fixed S, and four r=1 sites glued on a 200-vertex cubic
+    graph, whose localized eigenvalue has multiplicity 4, with the
+    certified supports as S."""
+    if request.param == "petersen":
+        return request.getfixturevalue("petersen"), [0, 1, 2, 3]
+    if request.param == "mcgee":
+        return request.getfixturevalue("mcgee"), [0, 1, 2, 3, 4, 5]
+    sg = multi_glue(request.getfixturevalue("cubic6"), 4, 1, seed=2)
+    return sg.graph, _certified_support(sg)
+
+
+def _eigenspaces(w):
+    """(lo, hi) column ranges of eigenvalues equal within 1e-6, a grouping
+    kept independent of the table's own gap."""
+    cuts = np.flatnonzero(np.diff(w) > 1e-6) + 1
+    return list(zip(np.r_[0, cuts], np.r_[cuts, len(w)]))
+
+
+def _assert_same_table(a, b):
+    assert len(a) == len(b)
+    for x, y in zip(a, b):
+        assert (x[1], x[2]) == (y[1], y[2])  # multiplicity, min_support_0.5
+        for u, v in zip((x[0], x[3], x[4]), (y[0], y[3], y[4])):
+            assert abs(u - v) <= 1e-12
+
+
+class TestQeTable:
+    def test_invariant_under_rotation_inside_eigenspaces(self,
+                                                         degenerate_case):
+        g, S = degenerate_case
+        w, vecs = eigh(g.csr().toarray())
+        spaces = _eigenspaces(w)
+        assert max(hi - lo for lo, hi in spaces) > 1
+        rng = np.random.default_rng(17)
+        rotated = vecs.copy()
+        for lo, hi in spaces:
+            q, _ = np.linalg.qr(rng.standard_normal((hi - lo, hi - lo)))
+            rotated[:, lo:hi] = vecs[:, lo:hi] @ q
+        table = qe_rows(w, vecs, S)
+        _assert_same_table(table, qe_rows(w, rotated, S))
+        assert [row[1] for row in table] == [
+            hi - lo for lo, hi in spaces for _ in range(lo, hi)]
+
+    def test_witnesses_are_the_eigenspace_mean_and_maximum(self,
+                                                           degenerate_case):
+        g, S = degenerate_case
+        w, vecs = eigh(g.csr().toarray())
+        table = qe_rows(w, vecs, S)
+        own = [scarring_witness(vecs[:, i], S, g.n).value for i in range(g.n)]
+        for lo, hi in _eigenspaces(w):
+            wit, top = table[lo][3], table[lo][4]
+            assert abs(wit - np.mean(own[lo:hi])) <= 1e-12
+            assert max(own[lo:hi]) <= top + 1e-12
+
+    def test_same_table_from_evr_and_evd(self, degenerate_case):
+        g, S = degenerate_case
+        a = g.csr().toarray()
+        _assert_same_table(qe_rows(*eigh(a, driver="evr"), S),
+                           qe_rows(*eigh(a, driver="evd"), S))
+
+    @pytest.mark.parametrize("case", ["glued-mcgee", "cubic6"])
+    def test_simple_spectrum_rows_are_the_eigenvector_statistics(
+            self, request, case):
+        if case == "glued-mcgee":
+            sg = request.getfixturevalue("mcgee_sg")
+            g, S = sg.graph, _certified_support(sg)
+        else:
+            g, S = request.getfixturevalue("cubic6"), list(range(0, 200, 9))
+        w, vecs = eigh(g.csr().toarray())
+        table = qe_rows(w, vecs, S)
+        for i, (lam, k, size, wit, top) in enumerate(table):
+            v = vecs[:, i]
+            assert (lam, k) == (w[i], 1)
+            assert size == min_support_for_mass(v, 0.5)[0]
+            ref = scarring_witness(v / np.linalg.norm(v), S, g.n).value
+            assert abs(wit - ref) <= 1e-12 and abs(top - ref) <= 1e-12
+
+    def test_scarred_eigenspace_reaches_full_mass_on_the_supports(self,
+                                                                  cubic6):
+        # each localized eigenvector puts all its mass on S, so the best
+        # unit vector of their eigenspace has witness 1 - |S|/M
+        sg = multi_glue(cubic6, 4, 1, seed=2)
+        S = _certified_support(sg)
+        w, vecs = eigh(sg.graph.csr().toarray())
+        top = max(row[4] for row in qe_rows(w, vecs, S))
+        assert abs(top - (1 - len(S) / sg.graph.n)) <= 1e-12
