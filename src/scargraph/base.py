@@ -205,7 +205,8 @@ def validate_base(g: Graph, d: int, r: int, tol: float = 1e-8) -> BaseReport:
     2 sqrt(d) + tol.  Failures are reported, not raised."""
     deg = is_regular(g)
     gv = girth(g)
-    summary = extreme_eigenvalues(g) if is_connected(g) and g.n else None
+    summary = extreme_eigenvalues(g, how_many=0) \
+        if is_connected(g) and g.n else None
     lam2 = summary.lambda2_abs if summary else math.inf
     bip = is_bipartite(g)
     ram_ok = lam2 <= 2.0 * math.sqrt(d) + tol

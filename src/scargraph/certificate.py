@@ -179,7 +179,7 @@ def build_certificate(sg: ScarredGraph, seed: int = 0,
     M, m = g.n, sg.base_size
     gv = sg.girth if sg.girth is not None else girth(g)
     gv = int(gv) if gv != math.inf else -1
-    summary = extreme_eigenvalues(g, seed=seed)
+    summary = extreme_eigenvalues(g, how_many=0, seed=seed)
     thm, prop = spectral_threshold(d)
 
     localized = []
@@ -287,7 +287,9 @@ def verify_certificate(g: Graph, cert: Certificate,
     outside [0, M) or whose values are not numbers matching it one to one
     fails.  The girth bounds, the base size m (M minus 2k T1 interiors),
     effective_alpha and the method name are re-derived, not trusted; either
-    method passes, whichever this verifier uses."""
+    method passes, whichever this verifier uses.  The verdicts are
+    re-derived too: the measured lambda2 against the theorem threshold
+    and, with sites, the measured girth against both girth bounds."""
     items = []
 
     def check(name, ok, detail=""):
@@ -316,7 +318,7 @@ def verify_certificate(g: Graph, cert: Certificate,
         gv = girth(g)
         gv = int(gv) if gv != math.inf else -1
         check("girth", gv == cert.girth, f"measured {gv} vs {cert.girth}")
-        summary = extreme_eigenvalues(g, seed=0)
+        summary = extreme_eigenvalues(g, how_many=0, seed=0)
         check("lambda_max_nontrivial",
               abs(summary.lambda2_abs - cert.lambda_max_nontrivial)
               <= spectral_tol,
@@ -325,6 +327,14 @@ def verify_certificate(g: Graph, cert: Certificate,
         check("spectral_threshold", abs(thm - cert.spectral_threshold) < 1e-12)
         check("proposition_threshold",
               abs(prop - cert.proposition_threshold) < 1e-12)
+        check("spectral_within_threshold", summary.lambda2_abs <= thm,
+              f"measured {summary.lambda2_abs!r} vs (3/sqrt 2) sqrt d = "
+              f"{thm!r}")
+        if cert.k and bound is not None:
+            check("girth_at_least_bound", gv >= bound,
+                  f"measured {gv} vs {bound}")
+            check("girth_at_least_required", gv >= required,
+                  f"measured {gv} vs {required}")
         for i, rec in enumerate(cert.localized):
             bad = record_shape_error(rec, g.n)
             if bad:

@@ -104,6 +104,8 @@ def _cmd_construct(args) -> int:
 
 
 def _cmd_spectrum(args) -> int:
+    if args.k < 1:
+        raise ValueError(f"--k must be at least 1, got {args.k}")
     g = load_graph(args.graph)
     summary = extreme_eigenvalues(g, how_many=args.k)
     with open(args.out, "w", newline="", encoding="utf-8") as fh:

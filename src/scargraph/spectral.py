@@ -60,6 +60,13 @@ def extreme_eigenvalues(g: Graph, how_many: int = 2, tol: float = 1e-10,
     ones), and at 2448 vertices Lanczos is about 100x faster.  Callers
     that need every eigenvector (CLI qe, test oracles) call scipy's eigh
     themselves.
+
+    ``pairs`` lists how_many eigenpairs per spectrum end, each with its
+    residual; on a connected regular graph the deflated Ritz pair that
+    gives lambda2_abs follows them.  how_many=0 asks for no listed ends:
+    ``pairs`` then holds only the top pair and the lambda2_abs pair.  On a
+    regular graph above the cutoff that skips both end solves, and the
+    top pair is (degree, residual of the all-ones vector), exact.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -74,9 +81,11 @@ def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
     a = g.csr().toarray()
     w, vecs = eigh(a)
     top = float(w[-1])
-    lam2 = max(abs(float(w[0])), abs(float(w[-2]))) if g.n > 1 else 0.0
+    i2 = 0 if g.n == 1 or abs(w[0]) >= abs(w[-2]) else g.n - 2
+    lam2 = abs(float(w[i2])) if g.n > 1 else 0.0
     k = min(how_many, g.n)
-    picks = list(range(g.n - k, g.n)) + list(range(k))
+    picks = list(range(g.n - k, g.n)) + list(range(k)) if how_many \
+        else [g.n - 1, i2]
     pairs = []
     for i in sorted(set(picks), key=lambda i: -w[i]):
         r = float(np.linalg.norm(a @ vecs[:, i] - w[i] * vecs[:, i]))
@@ -97,35 +106,40 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
         count[0] += 1
         return a @ x
 
-    op = spla.LinearOperator((n, n), matvec=mv, dtype=float)
-    k = max(2, min(how_many, n - 2))
-    try:
-        w_hi, v_hi = spla.eigsh(op, k=k, which="LA", v0=v0, tol=tol,
-                                maxiter=maxiter)
-        w_lo, v_lo = spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol,
-                                maxiter=maxiter)
-    except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"Lanczos did not converge within {maxiter} iterations",
-            partial=exc.eigenvalues) from exc
-
-    pairs = []
-    for w, vv in [(w_hi, v_hi), (w_lo, v_lo)]:
-        for i in range(len(w)):
-            r = float(np.linalg.norm(a @ vv[:, i] - w[i] * vv[:, i]))
-            pairs.append((float(w[i]), r))
-    pairs.sort(key=lambda p: -p[0])
+    deg = is_regular(g)
+    if deg is not None and how_many == 0:
+        # (deg, all-ones) is an exact eigenpair; the residual checks it
+        ones = np.ones(n)
+        pairs = [(float(deg),
+                  float(np.linalg.norm(a @ ones - deg * ones) / math.sqrt(n)))]
+    else:
+        op = spla.LinearOperator((n, n), matvec=mv, dtype=float)
+        k = max(2, min(how_many, n - 2))
+        try:
+            w_hi, v_hi = spla.eigsh(op, k=k, which="LA", v0=v0, tol=tol,
+                                    maxiter=maxiter)
+            w_lo, v_lo = spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol,
+                                    maxiter=maxiter)
+        except spla.ArpackNoConvergence as exc:
+            raise EigensolverError(
+                f"Lanczos did not converge within {maxiter} iterations",
+                partial=exc.eigenvalues) from exc
+        pairs = []
+        for w, vv in [(w_hi, v_hi), (w_lo, v_lo)]:
+            for i in range(len(w)):
+                r = float(np.linalg.norm(a @ vv[:, i] - w[i] * vv[:, i]))
+                pairs.append((float(w[i]), r))
+        pairs.sort(key=lambda p: -p[0])
     top = pairs[0][0]
 
-    if is_regular(g) is not None:
+    if deg is not None:
         ritz, vec = _deflated_extreme(a, v0, tol, maxiter, count)
         lam2 = abs(ritz)
         lam_signed = float(vec @ (a @ vec))
-        r2 = float(np.linalg.norm(a @ vec - lam_signed * vec))
-        pairs.append((lam_signed, r2))
+        pairs.append((lam_signed,
+                      float(np.linalg.norm(a @ vec - lam_signed * vec))))
     else:
         lam2 = max(abs(pairs[1][0]), abs(pairs[-1][0]))
-        r2 = 0.0
     res = max(r for _, r in pairs)
     return SpectralSummary(top, lam2, "iterative", count[0], res, pairs, None)
 

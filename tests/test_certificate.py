@@ -1,12 +1,17 @@
+import dataclasses
 import json
 import math
 
+import numpy as np
 import pytest
 
+from scargraph.base import lps_graph
 from scargraph.certificate import (Certificate, build_certificate,
                                    girth_bound, girth_required,
                                    verify_certificate)
+from scargraph.graphs import _hop_distances, build_graph, girth
 from scargraph.named import petersen_graph
+from scargraph.scars import multi_glue
 
 
 class TestBounds:
@@ -310,3 +315,93 @@ def test_non_numeric_value_fails_its_record(mcgee_sg, value):
     failed = [it for it in report.items if not it.ok]
     assert [it.name for it in failed] == ["localized_0"]
     assert "numbers" in failed[0].detail
+
+
+def _switched(n, edges, remove, add):
+    """Graph on n vertices with the edge list ``edges`` minus ``remove``
+    plus ``add`` (a double edge switch when both hold two edges)."""
+    gone = {tuple(sorted(e)) for e in remove}
+    kept = [tuple(e) for e in np.asarray(edges).tolist()
+            if tuple(sorted(e)) not in gone]
+    return build_graph(n, kept + list(add))
+
+
+def _close_triangle(sg):
+    """sg after one double edge switch, (a, x), (c, y) -> (a, c), (x, y)
+    with a-b-c a path, that closes the triangle a-b-c at least four hops
+    from every site vertex, so the localized eigenvectors stay exact."""
+    g = sg.graph
+    sites = [v for site in sg.sites for v in np.concatenate([site.v1, site.v2])]
+    far = _hop_distances(g.indptr, g.indices, sites, 4) < 0
+    adj = g.adjacency_lists()
+    for b in np.nonzero(far)[0].tolist():
+        a, c = adj[b][:2]
+        x = next(v for v in adj[a] if v != b)
+        y = next((v for v in adj[c] if v != b and v != x
+                  and v not in adj[x]), None)
+        if y is not None and c not in adj[a] and far[[a, c, x, y]].all():
+            h = _switched(g.n, g.edges(), [(a, x), (c, y)], [(a, c), (x, y)])
+            return dataclasses.replace(sg, graph=h, girth=None)
+    raise AssertionError("no far path a-b-c")
+
+
+class TestVerdictsAreRederived:
+    """A certificate whose recorded verdict is flipped to True must fail on
+    the verifier's own re-derivation of that verdict."""
+
+    def test_spectral_verdict(self):
+        # two LPS(13,17) copies joined by one double edge switch: a
+        # bottleneck, so lambda2 is close to d + 1 = 14
+        h = lps_graph(13, 17)
+        e = h.edges()
+        (a, b), (c, d) = e[0].tolist(), e[1000].tolist()
+        two = _switched(2 * h.n, np.vstack([e, e + h.n]),
+                        [(c + h.n, d + h.n), (a, b)],
+                        [(a, c + h.n), (b, d + h.n)])
+        sg = multi_glue(two, 1, 1, seed=1)
+        cert = build_certificate(sg, timestamp=False)
+        assert cert.lambda_max_nontrivial > 13.9 > cert.spectral_threshold
+        assert [n for n, ok in cert.checks.items() if not ok] == [
+            "spectral_within_threshold"]
+        data = cert.to_dict()
+        data["checks"]["spectral_within_threshold"] = True
+        report = verify_certificate(sg.graph, Certificate.from_dict(data))
+        failed = [it for it in report.items if not it.ok]
+        assert [it.name for it in failed] == ["spectral_within_threshold"]
+        assert not report.passed
+
+    def test_girth_verdict(self, cubic6):
+        # r = 2 needs girth 4; a triangle far from the site breaks only that
+        sg = _close_triangle(multi_glue(cubic6, 1, 2, seed=1))
+        assert girth(sg.graph) == 3 == girth_bound(2, 2) < girth_required(2, 2)
+        cert = build_certificate(sg, timestamp=False)
+        assert [n for n, ok in cert.checks.items() if not ok] == [
+            "girth_at_least_required"]
+        data = cert.to_dict()
+        data["checks"]["girth_at_least_required"] = True
+        report = verify_certificate(sg.graph, Certificate.from_dict(data))
+        failed = [it for it in report.items if not it.ok]
+        assert [it.name for it in failed] == ["girth_at_least_required"]
+        assert not report.passed
+
+    def test_girth_bound_verdict(self, cubic6, monkeypatch):
+        # no simple graph has girth below girth_bound(d, 2) = 3, so the
+        # verifier's girth measurement reads one less than the truth: the
+        # recorded girth and both verdicts agree with it, yet both re-derived
+        # verdicts fail
+        sg = _close_triangle(multi_glue(cubic6, 1, 2, seed=1))
+        data = build_certificate(sg, timestamp=False).to_dict()
+        data["girth"] = 2
+        data["checks"]["girth_at_least_required"] = True
+        monkeypatch.setattr("scargraph.certificate.girth", lambda g: 2)
+        report = verify_certificate(sg.graph, Certificate.from_dict(data))
+        failed = [it.name for it in report.items if not it.ok]
+        assert failed == ["girth_at_least_bound", "girth_at_least_required"]
+
+    def test_honest_verdicts_pass(self, cubic6):
+        sg = multi_glue(cubic6, 1, 2, seed=1)
+        report = verify_certificate(sg.graph, build_certificate(sg))
+        names = [it.name for it in report.items]
+        assert {"spectral_within_threshold", "girth_at_least_bound",
+                "girth_at_least_required"} <= set(names)
+        assert report.passed, report.summary()

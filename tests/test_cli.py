@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
 from scargraph.cli import (QE_MAX_VERTICES, RunConfig, main, qe_rows,
                            run_pipeline)
@@ -244,6 +245,22 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "M = 26" in err and "100" in err and "Traceback" not in err
         assert not qpath.exists()
+
+    @pytest.mark.parametrize("k", ["0", "-3"])
+    @pytest.mark.parametrize("graph", ["mcgee", "lps13", "missing"])
+    def test_spectrum_rejects_k_below_one(self, tmp_path, capsys, graph, k):
+        # McGee takes the dense path and LPS(13,17) the Lanczos path; a
+        # missing file shows that --k is checked before the graph is read
+        gpath = tmp_path / f"{graph}.edges"
+        if graph != "missing":
+            save_edge_list(mcgee_graph() if graph == "mcgee"
+                           else lps_graph(13, 17), gpath)
+        spath = tmp_path / "spec.csv"
+        assert main(["spectrum", "--graph", str(gpath), "--k", k,
+                     "--out", str(spath)]) == 2
+        err = capsys.readouterr().err
+        assert f"--k must be at least 1, got {k}" in err
+        assert "Traceback" not in err and not spath.exists()
 
 
 def _certified_support(sg):

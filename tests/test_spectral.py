@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ import pytest
 from scargraph.base import lps_graph
 from scargraph.certificate import (Certificate, build_certificate,
                                    verify_certificate)
+from scargraph.graphs import build_graph, is_connected, is_regular
 from scargraph.named import (complete_graph, cycle_graph, petersen_graph,
                              random_regular_graph)
 from scargraph.scars import interface_quadratic_bound, multi_glue
@@ -117,6 +119,51 @@ class TestAboveDenseCutoff:
         Certificate.from_dict(data).save(path)
         report = verify_certificate(lps13_sg.graph, Certificate.load(path))
         assert report.passed, report.summary()
+
+
+class TestSingleDeflatedSolve:
+    """how_many=0 on a connected regular graph runs only the deflated
+    Lanczos: same lambda2, exact trivial pair, fewer matvecs."""
+
+    def test_same_lambda2_and_exact_top(self, above_cutoff):
+        g, _ = above_cutoff
+        deg = is_regular(g)
+        full = extreme_eigenvalues(g, how_many=2)
+        one = extreme_eigenvalues(g, how_many=0)
+        assert one.method == full.method == "iterative"
+        assert one.lambda2_abs == full.lambda2_abs
+        assert one.lambda_top == deg
+        assert one.pairs[0] == (deg, 0.0)
+        assert abs(one.pairs[1][0]) == pytest.approx(one.lambda2_abs,
+                                                     abs=1e-8)
+        assert len(one.pairs) == 2 and one.residual_bound <= 1e-8
+        assert 0 < one.iterations < full.iterations
+
+    def test_non_regular_matches_dense_oracle(self):
+        g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
+        g = build_graph(g.n, g.edges().tolist()[1:])
+        assert is_connected(g) and is_regular(g) is None
+        dense = _extreme_dense(g, 2)
+        s = extreme_eigenvalues(g, how_many=0)
+        assert s.method == "iterative"
+        assert abs(s.lambda2_abs - dense.lambda2_abs) <= 1e-8
+        assert abs(s.lambda_top - dense.lambda_top) <= 1e-8
+
+    def test_dense_path_lists_top_and_lambda2_pairs(self, petersen):
+        s = extreme_eigenvalues(petersen, how_many=0)
+        assert s.method == "dense" and len(s.pairs) == 2
+        assert s.pairs[0][0] == pytest.approx(3.0)
+        assert s.pairs[1][0] == pytest.approx(-2.0)
+        assert s.lambda2_abs == pytest.approx(2.0)
+        assert s.residual_bound <= 1e-12
+
+    def test_certificate_digest_unchanged(self, lps13_sg):
+        # recorded before the two end solves were dropped from the
+        # pipeline's spectral check (numpy 2.4, scipy 1.17)
+        cert = build_certificate(lps13_sg, timestamp=False)
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == ("ff90a5e65e28d776021cd3fe9224cec9"
+                          "3f58f572996aa4c63a9dd5ed84e7d99c")
 
 
 class TestResidual:
