@@ -15,6 +15,7 @@ from .graphs import Graph, build_graph, girth, is_bipartite, is_connected, \
 from .spectral import extreme_eigenvalues
 
 load_graph = load_edge_list
+RAMANUJAN_TOL = 1e-8     # slack on the measured lambda2 <= 2 sqrt(d)
 
 
 def _is_prime(n: int) -> bool:
@@ -198,18 +199,18 @@ class BaseReport:
         return json.dumps(out, sort_keys=True)
 
 
-def validate_base(g: Graph, d: int, r: int, tol: float = 1e-8) -> BaseReport:
+def validate_base(g: Graph, d: int, r: int) -> BaseReport:
     """Check, by measurement, everything the gluing construction needs from
     a base: (d+1)-regularity, non-bipartiteness, girth > 4r (site margin),
     girth > 2(r+1)+1 (tree balls), and nontrivial spectral radius within
-    2 sqrt(d) + tol.  Failures are reported, not raised."""
+    2 sqrt(d) + RAMANUJAN_TOL.  Failures are reported, not raised."""
     deg = is_regular(g)
     gv = girth(g)
     summary = extreme_eigenvalues(g, how_many=0) \
         if is_connected(g) and g.n else None
     lam2 = summary.lambda2_abs if summary else math.inf
     bip = is_bipartite(g)
-    ram_ok = lam2 <= 2.0 * math.sqrt(d) + tol
+    ram_ok = lam2 <= 2.0 * math.sqrt(d) + RAMANUJAN_TOL
     rmax = 0
     while gv > max(4 * (rmax + 1), 2 * (rmax + 2) + 1):
         rmax += 1

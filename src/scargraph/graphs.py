@@ -97,11 +97,6 @@ class Graph:
                 shape=(self.n, self.n))
         return self._csr
 
-    def has_edge(self, u: int, v: int) -> bool:
-        nb = self.neighbors(u)
-        i = np.searchsorted(nb, v)
-        return i < len(nb) and nb[i] == v
-
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.num_edges})"
 

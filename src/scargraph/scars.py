@@ -22,6 +22,7 @@ from .graphs import (ConstructionError, Graph, ball, bfs_distances, girth,
                      is_regular)
 from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_target,
                       guaranteed_girth)
+from .spectral import residual
 from .trees import interior_size, radial_spectrum, tree_size
 
 GLUE_RETRIES = 3      # seeds glue() tries, seed + 1000003 * attempt
@@ -48,10 +49,6 @@ class ScarSite:
     @property
     def v2(self) -> np.ndarray:
         return np.concatenate(self.t2_levels)
-
-    @property
-    def v3(self) -> np.ndarray:
-        return np.concatenate(self.t3_levels)
 
     @property
     def interface(self) -> np.ndarray:
@@ -271,7 +268,7 @@ def localized_eigenvector(sg: ScarredGraph, site_id: int, lam: float,
         nu[site.t1_levels[i]] = profile[i]
         nu[site.t2_levels[i]] = -profile[i]
     nu /= math.sqrt(2.0)
-    res = np.abs(sg.graph.csr() @ nu - lam * nu).max()
+    res = residual(sg.graph, nu, lam)[0]
     if res > residual_tol:
         raise ConstructionError(
             f"localized eigenvector residual {res:.3e} exceeds {residual_tol}")

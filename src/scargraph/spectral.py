@@ -17,6 +17,8 @@ from .graphs import Graph, _hop_distances, is_connected, is_regular
 from .trees import DaryTree
 
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
+LANCZOS_TOL = 1e-10     # relative accuracy ARPACK asks of each Ritz value
+LANCZOS_SEED = 0        # seeds the Lanczos start vector, so runs repeat
 
 
 class EigensolverError(RuntimeError):
@@ -36,6 +38,7 @@ class SpectralSummary:
     residual_bound: float
     pairs: list                      # (eigenvalue, residual 2-norm) extremes
     eigenvalues: np.ndarray | None = None   # full spectrum on the dense path
+    lambda2_vector: np.ndarray | None = None  # None: Lanczos, not regular
 
 
 def residual(g: Graph, v, lam: float):
@@ -47,26 +50,28 @@ def residual(g: Graph, v, lam: float):
     return float(np.abs(r).max()), float(np.linalg.norm(r))
 
 
-def extreme_eigenvalues(g: Graph, how_many: int = 2, tol: float = 1e-10,
-                        seed: int = 0) -> SpectralSummary:
+def extreme_eigenvalues(g: Graph, how_many: int = 2) -> SpectralSummary:
     """Extreme adjacency eigenvalues with certified residuals.
 
     Dense symmetric solve up to DENSE_CUTOFF (320) vertices; beyond that
-    an implicitly restarted Lanczos with a seeded start vector, targeting
-    both spectrum ends, plus deflation of the all-ones eigenvector on
-    connected regular graphs so lambda2_abs never reports the trivial
-    eigenvalue.  The two break even near 320 vertices (between 320 and
-    384 on random 3-regular graphs, between 256 and 320 on 14-regular
-    ones), and at 2448 vertices Lanczos is about 100x faster.  Callers
-    that need every eigenvector (CLI qe, test oracles) call scipy's eigh
-    themselves.
+    implicitly restarted Lanczos to relative accuracy LANCZOS_TOL from a
+    start vector seeded with LANCZOS_SEED.  On a connected regular graph
+    lambda2_abs is the Ritz value of one Lanczos solve deflated of the
+    all-ones eigenvector, so it never reports the trivial eigenvalue.  The
+    two paths break even near 320 vertices (between 320 and 384 on random
+    3-regular graphs, between 256 and 320 on 14-regular ones), and at 2448
+    vertices Lanczos is about 100x faster.  Callers that need every
+    eigenvector (CLI qe, test oracles) call scipy's eigh themselves.
 
     ``pairs`` lists how_many eigenpairs per spectrum end, each with its
-    residual; on a connected regular graph the deflated Ritz pair that
-    gives lambda2_abs follows them.  how_many=0 asks for no listed ends:
-    ``pairs`` then holds only the top pair and the lambda2_abs pair.  On a
-    regular graph above the cutoff that skips both end solves, and the
-    top pair is (degree, residual of the all-ones vector), exact.
+    residual, largest first; above the cutoff a regular graph's deflated
+    Ritz pair follows them.  how_many=0 lists no ends: ``pairs`` then holds
+    only the top pair and the lambda2_abs pair.  Above the cutoff a regular
+    graph then runs no end solve, and its top pair is (degree, residual of
+    the all-ones vector), exact.  ``lambda2_vector`` is the unit eigenvector
+    of the lambda2_abs pair.  A non-regular graph above the cutoff has none,
+    and lists at least two pairs per end, as its lambda2_abs is read off
+    the ends.
     """
     if g.n == 0:
         raise ValueError("empty graph")
@@ -74,116 +79,85 @@ def extreme_eigenvalues(g: Graph, how_many: int = 2, tol: float = 1e-10,
         raise ValueError("graph must be connected")
     if g.n <= DENSE_CUTOFF:
         return _extreme_dense(g, how_many)
-    return _extreme_iterative(g, how_many, tol, seed)
+    return _extreme_iterative(g, how_many, LANCZOS_TOL, LANCZOS_SEED)
 
 
 def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
-    a = g.csr().toarray()
-    w, vecs = eigh(a)
-    top = float(w[-1])
+    w, vecs = eigh(g.csr().toarray())
     i2 = 0 if g.n == 1 or abs(w[0]) >= abs(w[-2]) else g.n - 2
     lam2 = abs(float(w[i2])) if g.n > 1 else 0.0
     k = min(how_many, g.n)
-    picks = list(range(g.n - k, g.n)) + list(range(k)) if how_many \
-        else [g.n - 1, i2]
-    pairs = []
-    for i in sorted(set(picks), key=lambda i: -w[i]):
-        r = float(np.linalg.norm(a @ vecs[:, i] - w[i] * vecs[:, i]))
-        pairs.append((float(w[i]), r))
-    res = max(r for _, r in pairs) if pairs else 0.0
-    return SpectralSummary(top, lam2, "dense", 0, res, pairs, w)
+    # k pairs per end; with none asked, the top pair and the lambda2 pair
+    picks = set(range(g.n - k, g.n)) | set(range(k)) or {g.n - 1, i2}
+    pairs = [(float(w[i]), residual(g, vecs[:, i], w[i])[1])
+             for i in sorted(picks, reverse=True)]
+    return SpectralSummary(float(w[-1]), lam2, "dense", 0,
+                           max(r for _, r in pairs), pairs, w, vecs[:, i2])
 
 
 def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     a = g.csr()
     n = g.n
-    rng = np.random.default_rng(seed)
-    v0 = rng.standard_normal(n)
-    maxiter = int(50 * math.sqrt(n)) + 100
+    v0 = np.random.default_rng(seed).standard_normal(n)
     count = [0]
 
     def mv(x):
         count[0] += 1
         return a @ x
 
-    deg = is_regular(g)
-    if deg is not None and how_many == 0:
-        # (deg, all-ones) is an exact eigenpair; the residual checks it
-        ones = np.ones(n)
-        pairs = [(float(deg),
-                  float(np.linalg.norm(a @ ones - deg * ones) / math.sqrt(n)))]
-    else:
-        op = spla.LinearOperator((n, n), matvec=mv, dtype=float)
-        k = max(2, min(how_many, n - 2))
-        try:
-            w_hi, v_hi = spla.eigsh(op, k=k, which="LA", v0=v0, tol=tol,
-                                    maxiter=maxiter)
-            w_lo, v_lo = spla.eigsh(op, k=k, which="SA", v0=v0, tol=tol,
-                                    maxiter=maxiter)
-        except spla.ArpackNoConvergence as exc:
-            raise EigensolverError(
-                f"Lanczos did not converge within {maxiter} iterations",
-                partial=exc.eigenvalues) from exc
-        pairs = []
-        for w, vv in [(w_hi, v_hi), (w_lo, v_lo)]:
-            for i in range(len(w)):
-                r = float(np.linalg.norm(a @ vv[:, i] - w[i] * vv[:, i]))
-                pairs.append((float(w[i]), r))
-        pairs.sort(key=lambda p: -p[0])
-    top = pairs[0][0]
-
-    if deg is not None:
-        ritz, vec = _deflated_extreme(a, v0, tol, maxiter, count)
-        lam2 = abs(ritz)
-        lam_signed = float(vec @ (a @ vec))
-        pairs.append((lam_signed,
-                      float(np.linalg.norm(a @ vec - lam_signed * vec))))
-    else:
-        lam2 = max(abs(pairs[1][0]), abs(pairs[-1][0]))
-    res = max(r for _, r in pairs)
-    return SpectralSummary(top, lam2, "iterative", count[0], res, pairs, None)
-
-
-def _deflated_extreme(a, v0, tol, maxiter, count):
-    """Largest-magnitude Ritz pair of the adjacency ``a`` restricted to the
-    complement of the all-ones vector, the top eigenvector of a connected
-    regular graph.  Returns the Ritz value and the centred unit Ritz
-    vector; each matvec adds one to count[0]."""
-    n = a.shape[0]
-
-    def mv(x):
-        count[0] += 1
-        z = x - x.mean()
-        y = a @ z
+    def deflated(x):
+        # A on the complement of all-ones, a regular graph's top eigenvector
+        y = mv(x - x.mean())
         return y - y.mean()
 
-    op = spla.LinearOperator((n, n), matvec=mv, dtype=float)
+    deg = is_regular(g)
+    # lambda2 of a non-regular graph is read off the ends: two pairs each
+    k = min(how_many if deg is not None else max(2, how_many), n - 2)
+    if k:
+        pairs = []
+        for which in ("LA", "SA"):
+            w, vv = _lanczos(mv, n, k, which, v0, tol)
+            pairs += [(float(lam), residual(g, vec, lam)[1])
+                      for lam, vec in zip(w, vv.T)]
+        pairs.sort(key=lambda p: -p[0])
+    else:
+        # no end solve: (deg, all-ones) is an exact eigenpair, residual 0
+        pairs = [(float(deg), residual(g, np.ones(n), deg)[1] / math.sqrt(n))]
+    if deg is None:
+        lam2, v2 = max(abs(pairs[1][0]), abs(pairs[-1][0])), None
+    else:
+        w, vv = _lanczos(deflated, n, 1, "LM", v0, tol)
+        v2 = vv[:, 0] - vv[:, 0].mean()
+        v2 /= np.linalg.norm(v2)
+        lam2 = abs(float(w[0]))
+        lam = float(v2 @ (a @ v2))
+        pairs.append((lam, residual(g, v2, lam)[1]))
+    res = max(r for _, r in pairs)
+    return SpectralSummary(pairs[0][0], lam2, "iterative", count[0], res,
+                           pairs, lambda2_vector=v2)
+
+
+def _lanczos(matvec, n, k, which, v0, tol):
+    """eigsh on the n x n operator ``matvec``: k Ritz pairs at ``which``."""
+    maxiter = int(50 * math.sqrt(n)) + 100
+    op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        w, v = spla.eigsh(op, k=1, which="LM", v0=v0, tol=tol,
+        return spla.eigsh(op, k=k, which=which, v0=v0, tol=tol,
                           maxiter=maxiter)
     except spla.ArpackNoConvergence as exc:
         raise EigensolverError(
-            f"deflated Lanczos did not converge within {maxiter} iterations",
+            f"Lanczos ({which}) did not converge within {maxiter} iterations",
             partial=exc.eigenvalues) from exc
-    vec = v[:, 0] - v[:, 0].mean()
-    vec /= np.linalg.norm(vec)
-    return float(w[0]), vec
 
 
-def second_eigenvector(g: Graph, tol: float = 1e-10, seed: int = 0):
-    """(lambda, vector) attaining the nontrivial spectral radius of a
-    connected regular graph; raises EigensolverError when Lanczos does not
-    converge."""
-    if g.n <= DENSE_CUTOFF:
-        a = g.csr().toarray()
-        w, vecs = eigh(a)
-        i = 0 if abs(w[0]) >= abs(w[-2]) else g.n - 2
-        return float(w[i]), vecs[:, i]
-    a = g.csr()
-    v0 = np.random.default_rng(seed).standard_normal(g.n)
-    _, vec = _deflated_extreme(a, v0, tol, int(50 * math.sqrt(g.n)) + 100,
-                               [0])
-    return float(vec @ (a @ vec)), vec
+def second_eigenvector(g: Graph):
+    """(lambda, unit vector) attaining the nontrivial spectral radius of a
+    connected regular graph, the lambda2 pair of extreme_eigenvalues(g, 0);
+    raises EigensolverError when Lanczos does not converge."""
+    s = extreme_eigenvalues(g, 0)
+    if s.lambda2_vector is None:
+        raise ValueError("graph must be regular")
+    return s.pairs[-1][0], s.lambda2_vector
 
 
 def spectral_threshold(d: int):

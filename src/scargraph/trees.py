@@ -46,12 +46,6 @@ class DaryTree:
     def leaves(self) -> np.ndarray:
         return self.levels[-1]
 
-    def level_of(self) -> np.ndarray:
-        out = np.empty(self.graph.n, dtype=np.int64)
-        for i, lay in enumerate(self.levels):
-            out[lay] = i
-        return out
-
 
 def tree_layout(d: int, depth: int, first: int = 0):
     """Level-order ids of a depth-``depth`` d-ary tree numbered from

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from scargraph.base import lps_graph
-from scargraph.certificate import (Certificate, build_certificate,
-                                   girth_bound, girth_required,
-                                   verify_certificate)
+from scargraph.certificate import (SPECTRAL_TOL, Certificate,
+                                   build_certificate, girth_bound,
+                                   girth_required, verify_certificate)
 from scargraph.graphs import _hop_distances, build_graph, girth
 from scargraph.named import petersen_graph
 from scargraph.scars import multi_glue
@@ -110,6 +110,29 @@ class TestVerifyCertificate:
         assert not report.passed
         failed = [it.name for it in report.items if not it.ok]
         assert failed == ["localized_0"]
+
+    def test_zero_vector_fails_its_record_without_raising(self, mcgee_sg):
+        # residual() rejects a zero vector, so its norm must fail it first
+        data = build_certificate(mcgee_sg).to_dict()
+        rec = data["localized"][0]
+        rec["values"] = [0.0] * len(rec["values"])
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert not report.passed
+        assert [it.name for it in report.items if not it.ok] \
+            == ["localized_0"]
+
+    @pytest.mark.parametrize("shift,ok", [(0.5 * SPECTRAL_TOL, True),
+                                          (2.0 * SPECTRAL_TOL, False)])
+    def test_lambda2_judged_against_fixed_tolerance(self, mcgee_sg, shift,
+                                                    ok):
+        data = build_certificate(mcgee_sg).to_dict()
+        data["lambda_max_nontrivial"] += shift
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert report.passed is ok
+        assert [it.name for it in report.items if not it.ok] \
+            == ([] if ok else ["lambda_max_nontrivial"])
 
     def test_recorded_false_check_fails(self, mcgee_sg):
         cert = build_certificate(mcgee_sg)

@@ -263,6 +263,36 @@ class TestSubcommands:
         assert "Traceback" not in err and not spath.exists()
 
 
+class TestSpectrumRows:
+    """--k lists k pairs per end; on the Lanczos path the deflated pair that
+    gives lambda2 follows them."""
+
+    @pytest.fixture(scope="class")
+    def lps13_glued_file(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("lps13") / "glued.edges"
+        save_edge_list(multi_glue(lps_graph(13, 17), 1, 1, seed=1).graph,
+                       path)
+        return str(path)
+
+    @pytest.mark.parametrize("graph,k,rows,top", [
+        ("lps13_glued_file", "1", 3, 14.0), ("lps13_glued_file", "4", 9, 14.0),
+        ("mcgee_file", "1", 2, 3.0)])
+    def test_row_count(self, request, tmp_path, graph, k, rows, top):
+        spath = tmp_path / "spec.csv"
+        assert main(["spectrum", "--graph", request.getfixturevalue(graph),
+                     "--k", k, "--out", str(spath)]) == 0
+        with open(spath, newline="") as fh:
+            header, *body = list(csv.reader(fh))
+        assert header == ["index", "lambda", "residual"]
+        assert len(body) == rows
+        assert abs(float(body[0][1]) - top) <= 1e-8
+        assert all(float(res) <= 1e-8 for _, _, res in body)
+        lams = [float(lam) for _, lam, _ in body]
+        assert lams[:-1] == sorted(lams[:-1], reverse=True)
+        if rows % 2:   # the deflated pair: lambda2 is the smallest end
+            assert lams[-1] == pytest.approx(lams[-2], abs=1e-8)
+
+
 def _certified_support(sg):
     cert = build_certificate(sg)
     return sorted({v for rec in cert.localized for v in rec.support})

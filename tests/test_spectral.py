@@ -3,6 +3,7 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from scargraph.base import lps_graph
 from scargraph.certificate import (Certificate, build_certificate,
@@ -11,8 +12,8 @@ from scargraph.graphs import build_graph, is_connected, is_regular
 from scargraph.named import (complete_graph, cycle_graph, petersen_graph,
                              random_regular_graph)
 from scargraph.scars import interface_quadratic_bound, multi_glue
-from scargraph.spectral import (DENSE_CUTOFF, _extreme_dense,
-                                _extreme_iterative,
+from scargraph.spectral import (DENSE_CUTOFF, EigensolverError,
+                                _extreme_dense, _extreme_iterative,
                                 extreme_eigenvalues, kahale_check,
                                 kahale_instance, kahale_sequence, residual,
                                 second_eigenvector, spectral_threshold,
@@ -156,6 +157,47 @@ class TestSingleDeflatedSolve:
         assert s.pairs[1][0] == pytest.approx(-2.0)
         assert s.lambda2_abs == pytest.approx(2.0)
         assert s.residual_bound <= 1e-12
+
+    def test_one_pair_per_end(self, above_cutoff):
+        g, _ = above_cutoff
+        one = extreme_eigenvalues(g, how_many=0)
+        s = extreme_eigenvalues(g, how_many=1)
+        assert len(s.pairs) == 3 and s.pairs[-1] == one.pairs[-1]
+        assert s.lambda2_abs == one.lambda2_abs
+        assert s.lambda_top == pytest.approx(is_regular(g), abs=1e-8)
+        assert s.residual_bound <= 1e-8
+
+    def test_lambda2_vector_is_the_listed_lambda2_pair(self, above_cutoff,
+                                                       petersen):
+        for g in (above_cutoff[0], petersen):
+            s = extreme_eigenvalues(g, how_many=0)
+            lam, vec = s.pairs[-1][0], s.lambda2_vector
+            assert abs(lam) == pytest.approx(s.lambda2_abs, abs=1e-8)
+            assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
+            assert residual(g, vec, lam)[1] == s.pairs[-1][1] <= 1e-8
+            lam2, vec2 = second_eigenvector(g)
+            assert lam2 == lam and np.array_equal(vec2, vec)
+
+    def test_non_regular_has_no_lambda2_vector(self):
+        g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
+        g = build_graph(g.n, g.edges().tolist()[1:])
+        assert extreme_eigenvalues(g, how_many=0).lambda2_vector is None
+        with pytest.raises(ValueError, match="regular"):
+            second_eigenvector(g)
+
+    @pytest.mark.parametrize("how_many,which", [(0, "LM"), (2, "LA")])
+    def test_no_convergence_raises_eigensolver_error(self, monkeypatch,
+                                                     how_many, which):
+        def stalled(op, k, which, **kw):
+            raise spla.ArpackNoConvergence("stalled", np.array([1.5]),
+                                           np.zeros((op.shape[0], 1)))
+
+        monkeypatch.setattr(spla, "eigsh", stalled)
+        g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
+        with pytest.raises(EigensolverError,
+                           match=f"Lanczos \\({which}\\)") as info:
+            extreme_eigenvalues(g, how_many=how_many)
+        assert info.value.partial.tolist() == [1.5]
 
     def test_certificate_digest_unchanged(self, lps13_sg):
         # recorded before the two end solves were dropped from the
