@@ -93,29 +93,22 @@ class LpsParams:
         self.legendre = legendre_symbol(self.p, self.q)
 
 
-def _canonizer(q: int):
-    """Map a matrix (a, b, c, d) mod q to its projective representative,
+def _canon(m: np.ndarray, q: int) -> np.ndarray:
+    """Projective representatives of the rows (a, b, c, d) of ``m`` mod q,
     scaled so the first nonzero of (a, b) is 1; faithful on PSL in PGL."""
-    inv = [0] * q
-    for a in range(1, q):
-        inv[a] = pow(a, q - 2, q)
-
-    def canon(m):
-        a, b, c, dd = m
-        s = inv[a] if a % q else inv[b]
-        return ((a * s) % q, (b * s) % q, (c * s) % q, (dd * s) % q)
-
-    return canon
+    inv = np.array([0] + [pow(a, q - 2, q) for a in range(1, q)])
+    m = m % q
+    return m * np.where(m[:, 0] != 0, inv[m[:, 0]], inv[m[:, 1]])[:, None] % q
 
 
 def generator_matrices(p: int, q: int) -> list:
     """The canonical projective generator matrices: the quaternion
     solutions mapped through a square root of -1 mod q."""
     iq = sqrt_minus_one(q)
-    canon = _canonizer(q)
-    return [canon(((a0 + iq * a1) % q, (a2 + iq * a3) % q,
-                   (-a2 + iq * a3) % q, (a0 - iq * a1) % q))
-            for a0, a1, a2, a3 in quaternion_generators(p)]
+    a0, a1, a2, a3 = np.array(quaternion_generators(p)).reshape(-1, 4).T
+    m = np.column_stack([a0 + iq * a1, a2 + iq * a3, -a2 + iq * a3,
+                         a0 - iq * a1])
+    return [tuple(g) for g in _canon(m, q).tolist()]
 
 
 def lps_graph(p_or_params, q: int | None = None) -> Graph:
@@ -140,35 +133,35 @@ def lps_graph(p_or_params, q: int | None = None) -> Graph:
     if len(set(gens)) != p + 1:
         raise RuntimeError("generator matrices collide; q too small?")
 
-    verts = []
-    for b in range(q):
-        for c in range(q):
-            for dd in range(q):
-                det = (dd - b * c) % q
-                if det and legendre_symbol(det, q) == 1:
-                    verts.append((1, b, c, dd))
-    for c in range(1, q):
-        for dd in range(q):
-            if legendre_symbol(q - c, q) == 1:
-                verts.append((0, 1, c, dd))
-    expected = q * (q * q - 1) // 2
-    if len(verts) != expected:
-        raise RuntimeError(
-            f"enumerated {len(verts)} PSL elements, expected {expected}")
-    index = {v: i for i, v in enumerate(verts)}
-    canon = _canonizer(q)
-    edges = set()
-    for v in verts:
-        a, b, c, dd = v
-        i = index[v]
-        for e, f, gg, hh in gens:
-            w = canon(((a * e + b * gg) % q, (a * f + b * hh) % q,
-                       (c * e + dd * gg) % q, (c * f + dd * hh) % q))
-            j = index[w]
-            if i == j:
-                raise RuntimeError("generator fixes a vertex; not simple")
-            edges.add((min(i, j), max(i, j)))
-    g = build_graph(len(verts), sorted(edges))
+    # PSL(2, q): matrices (1, b, c, d) with det d - bc a nonzero square,
+    # then (0, 1, c, d) with det -c one, each in lexicographic order
+    square = np.zeros(q, dtype=bool)
+    square[np.arange(1, q) ** 2 % q] = True
+    b, c, dd = np.indices((q, q, q)).reshape(3, -1)
+    c2, d2 = np.indices((q - 1, q)).reshape(2, -1) + [[1], [0]]
+    verts = np.concatenate([
+        np.column_stack([np.ones_like(b), b, c, dd])[square[(dd - b * c) % q]],
+        np.column_stack([0 * c2, np.ones_like(c2), c2, d2])[square[-c2 % q]]])
+    n = q * (q * q - 1) // 2
+    if len(verts) != n:
+        raise RuntimeError(f"enumerated {len(verts)} PSL elements, expected {n}")
+    # each vertex times each generator, located among the sorted vertices
+    place = q ** np.arange(3, -1, -1)
+    codes = verts @ place
+    order = np.argsort(codes)
+    a, b, c, dd = verts.T
+    ends = []
+    for e, f, gg, hh in gens:
+        w = _canon(np.column_stack([a * e + b * gg, a * f + b * hh,
+                                    c * e + dd * gg, c * f + dd * hh]), q) @ place
+        ends.append(order[np.minimum(np.searchsorted(codes[order], w), n - 1)])
+        if (codes[ends[-1]] != w).any():
+            raise RuntimeError("a generator maps a vertex outside PSL(2, q)")
+    i, j = np.tile(np.arange(n), p + 1), np.concatenate(ends)
+    if (i == j).any():
+        raise RuntimeError("generator fixes a vertex; not simple")
+    # the generators are inverse-closed, so each edge is met from both ends
+    g = build_graph(n, np.column_stack([i, j])[i < j])
     if is_regular(g) != p + 1:
         raise RuntimeError("Cayley graph is not (p+1)-regular")
     return g

@@ -27,7 +27,6 @@ sparse products per level instead of a Python loop per edge.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -102,42 +101,55 @@ class Graph:
 
 
 def build_graph(n: int, edges) -> Graph:
-    """Canonical Graph from a vertex count and an iterable of vertex pairs.
+    """Canonical Graph from a vertex count and an (m, 2) array or an
+    iterable of vertex pairs.
 
     Rejects out-of-range endpoints, self-loops and duplicate edges.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
-    e = np.asarray(list(edges), dtype=np.int64)
+    e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
+                   dtype=np.int64)
     if e.size == 0:
         e = e.reshape(0, 2)
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError("edges must be pairs of vertex indices")
-    if e.size and (e.min() < 0 or e.max() >= n):
-        bad = e[(e < 0).any(axis=1) | (e >= n).any(axis=1)][0]
-        raise ValueError(f"edge endpoint out of range [0, {n}): {tuple(bad)}")
-    if (e[:, 0] == e[:, 1]).any():
-        v = int(e[e[:, 0] == e[:, 1]][0, 0])
-        raise ValueError(f"self-loop at vertex {v}")
-    lo = np.minimum(e[:, 0], e[:, 1])
-    hi = np.maximum(e[:, 0], e[:, 1])
-    key = lo * n + hi
-    order = np.argsort(key, kind="stable")
-    if len(key) > 1 and (np.diff(key[order]) == 0).any():
-        i = order[np.nonzero(np.diff(key[order]) == 0)[0][0]]
+    out, loop, repeat, lo, hi = _edge_faults(n, e)
+    if out.any():
+        raise ValueError(
+            f"edge endpoint out of range [0, {n}): {tuple(e[out][0])}")
+    if loop.any():
+        raise ValueError(f"self-loop at vertex {int(e[loop][0, 0])}")
+    if repeat.any():
+        dup = np.flatnonzero(repeat)
+        i = dup[np.argmin(lo[dup] * n + hi[dup])]
         raise ValueError(f"duplicate edge ({int(lo[i])}, {int(hi[i])})")
     return _graph_from_half_edges(n, lo, hi)
 
 
+def _edge_faults(n: int, e: np.ndarray):
+    """Row masks of the (m, 2) int64 array ``e``: an endpoint outside
+    [0, n), a self-loop, a repeat of an earlier row's edge (by a stable sort
+    of the keys lo * n + hi); then each row's ends lo <= hi.  An out-of-range
+    key may equal a valid one, so only the first faulty row is reliable."""
+    out = ((e < 0) | (e >= n)).any(axis=1)
+    loop = e[:, 0] == e[:, 1]
+    lo, hi = np.minimum(e[:, 0], e[:, 1]), np.maximum(e[:, 0], e[:, 1])
+    key = lo * n + hi
+    order = np.argsort(key, kind="stable")
+    repeat = np.zeros(len(e), dtype=bool)
+    repeat[order[1:]] = key[order[1:]] == key[order[:-1]]
+    return out, loop, repeat, lo, hi
+
+
 def _graph_from_half_edges(n, lo, hi) -> Graph:
-    # assumes lo < hi elementwise, no duplicates
-    src = np.concatenate([lo, hi])
-    dst = np.concatenate([hi, lo])
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    counts = np.bincount(src, minlength=n)
+    # assumes lo < hi elementwise, no duplicates: one sort of the half-edge
+    # keys src * n + dst orders the CSR by (src, dst)
+    key = np.concatenate([lo * n + hi, hi * n + lo])
+    key.sort()
+    src, dst = np.divmod(key, max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=indptr[1:])
+    np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
     return Graph(n, indptr, dst.astype(np.int32 if n < 2**31 else np.int64))
 
 
@@ -300,49 +312,32 @@ def girth(g: Graph):
 def shortest_cycle_through(g: Graph, v: int):
     """Shortest cycle containing v: returns (length, cycle) or (inf, None).
 
-    For each edge (v, u), the shortest cycle through that edge is 1 plus the
-    shortest v-u path avoiding it, which one BFS per neighbor finds exactly.
-    """
+    One BFS from v marks each vertex with the neighbour of v its tree path
+    starts with.  An edge (x, y) between different marks closes a cycle,
+    v..x y..v, of length dist(x) + dist(y) + 1; the marks change along any
+    cycle through v at an edge closing one no longer, so the shortest
+    closure is the answer."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
     adj = g.adjacency_lists()
-    n = g.n
-    best = INFINITE_GIRTH
-    best_cycle = None
-    for u in adj[v]:
-        # BFS from v to u without the edge (v, u); cutoff at current best
-        dist = {v: 0}
-        par = {v: -1}
-        q = deque([v])
-        found = False
-        while q and not found:
-            x = q.popleft()
-            dx = dist[x]
-            if dx + 1 >= best:
-                break
-            for y in adj[x]:
-                if x == v and y == u:
-                    continue
-                if y not in dist:
-                    dist[y] = dx + 1
-                    par[y] = x
-                    if y == u:
-                        found = True
-                        break
-                    q.append(y)
-        if found:
-            length = dist[u] + 1
-            if length < best:
-                best = length
-                path = []
-                x = u
-                while x != -1:
-                    path.append(x)
-                    x = par[x]
-                best_cycle = path  # [u, ..., v]; closing edge (v, u) implicit
-    if best_cycle is None:
+    dist, parent, mark = {v: 0}, {v: v}, {v: v}
+    order = [v]
+    for x in order:                 # BFS: the loop reads what it appends
+        for y in adj[x]:
+            if y not in dist:
+                dist[y], parent[y] = dist[x] + 1, x
+                mark[y] = y if x == v else mark[x]
+                order.append(y)
+    closures = [(dist[x] + dist[y] + 1, x, y) for x in order for y in adj[x]
+                if v not in (x, y) and mark[x] != mark[y]]
+    if not closures:
         return INFINITE_GIRTH, None
-    return int(best), best_cycle
+    length, x, y = min(closures)
+    paths = [[x], [y]]
+    for path in paths:
+        while path[-1] != v:
+            path.append(parent[path[-1]])
+    return length, paths[0][::-1] + paths[1][:-1]
 
 
 @dataclass
@@ -402,17 +397,13 @@ def is_connected(g: Graph) -> bool:
 
 def vertex_expansion(g: Graph, S) -> Fraction:
     """|N(S) \\ S| / |S| with the external neighborhood convention."""
-    S = set(int(v) for v in S)
-    if not S:
+    S = np.unique(np.asarray(list(S), dtype=np.int64))
+    if not S.size:
         raise ValueError("S must be nonempty")
-    for v in S:
-        if not 0 <= v < g.n:
-            raise ValueError(f"vertex {v} out of range")
-    nbrs = set()
-    for v in S:
-        nbrs.update(int(w) for w in g.neighbors(v))
-    nbrs -= S
-    return Fraction(len(nbrs), len(S))
+    if S[0] < 0 or S[-1] >= g.n:
+        raise ValueError(f"vertex {S[0] if S[0] < 0 else S[-1]} out of range")
+    outside = np.setdiff1d(_neighbours(g.indptr, g.indices, S)[0], S)
+    return Fraction(len(outside), len(S))
 
 
 def bs_cycle_fraction(g: Graph, radius: int) -> Fraction:
@@ -433,9 +424,15 @@ def bs_cycle_fraction(g: Graph, radius: int) -> Fraction:
 #
 # First line "n m", then m lines "u v" (0-based, whitespace-separated).
 
+# str.split()'s separators, by code point; none lies at U+3001 or above
+_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
+
+
 def load_edge_list(path) -> Graph:
-    """Parse the edge-list text format, rejecting malformed input with
-    line-numbered errors."""
+    """Parse the edge-list text format; malformed input raises an error
+    naming its first offending line.  An endpoint is any token int()
+    accepts; one int64 conversion reads them all and every check runs on
+    whole arrays, each on the lines before the faults found so far."""
     with open(path, "r", encoding="utf-8") as fh:
         lines = fh.read().splitlines()
     if not lines:
@@ -449,37 +446,59 @@ def load_edge_list(path) -> Graph:
         raise EdgeListFormatError("line 1: header must hold two integers") from None
     if n < 0 or m < 0:
         raise EdgeListFormatError("line 1: n and m must be nonnegative")
-    body = [(i + 2, ln) for i, ln in enumerate(lines[1:]) if ln.strip()]
-    if len(body) != m:
+    # tokens per body line: a token starts at a non-space after a space
+    body = "\n".join(lines[1:])
+    chars = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32)
+    space = _SPACE[np.minimum(chars, 0x3001)]
+    start = np.flatnonzero(~space & np.concatenate([[True], space[:-1]]))
+    line = np.searchsorted(np.flatnonzero(chars == 10), start)  # 0-based
+    count = np.bincount(line, minlength=len(lines) - 1)
+    lineno = np.flatnonzero(count) + 2     # file line of each edge line
+    if len(lineno) != m:
         raise EdgeListFormatError(
-            f"header declares {m} edges but file has {len(body)} edge lines")
-    edges = []
-    seen = set()
-    for lineno, ln in body:
-        parts = ln.split()
-        if len(parts) != 2:
-            raise EdgeListFormatError(f"line {lineno}: expected 'u v'")
+            f"header declares {m} edges but file has {len(lineno)} edge lines")
+    words, fault = body.split(), None      # fault: (edge line, message)
+    shape = np.flatnonzero(count[count > 0] != 2)
+    if shape.size:
+        fault, words = (shape[0], "expected 'u v'"), words[:2 * shape[0]]
+    try:
+        e = np.array(words, dtype=np.int64).reshape(-1, 2)
+    except (ValueError, OverflowError):
+        row = _first_rejected(words) // 2
         try:
-            u, v = int(parts[0]), int(parts[1])
+            list(map(int, words[2 * row:2 * row + 2]))
+            fault = (row, f"endpoint out of range [0, {n})")
         except ValueError:
-            raise EdgeListFormatError(
-                f"line {lineno}: endpoints must be integers") from None
-        if not (0 <= u < n and 0 <= v < n):
-            raise EdgeListFormatError(
-                f"line {lineno}: endpoint out of range [0, {n})")
-        if u == v:
-            raise EdgeListFormatError(f"line {lineno}: self-loop at {u}")
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise EdgeListFormatError(f"line {lineno}: duplicate edge {key}")
-        seen.add(key)
-        edges.append((u, v))
-    return build_graph(n, edges)
+            fault = (row, "endpoints must be integers")
+        e = np.array(words[:2 * row], dtype=np.int64).reshape(-1, 2)
+    out, loop, repeat, lo, hi = _edge_faults(n, e)
+    bad = np.flatnonzero(out | loop | repeat)
+    if bad.size:
+        i = bad[0]
+        fault = (i, f"endpoint out of range [0, {n})" if out[i]
+                 else f"self-loop at {e[i, 0]}" if loop[i]
+                 else f"duplicate edge ({lo[i]}, {hi[i]})")
+    if fault is not None:
+        raise EdgeListFormatError(f"line {lineno[fault[0]]}: {fault[1]}")
+    return _graph_from_half_edges(n, lo, hi)
+
+
+def _first_rejected(words) -> int:
+    """Index of the first token the int64 conversion rejects, by bisection."""
+    good, bad = 0, len(words)      # words[:good] converts, words[:bad] not
+    while bad - good > 1:
+        mid = (good + bad) // 2
+        try:
+            np.array(words[good:mid], dtype=np.int64)
+            good = mid
+        except (ValueError, OverflowError):
+            bad = mid
+    return good
 
 
 def save_edge_list(g: Graph, path) -> None:
     e = g.edges()
+    # one %-format over all endpoints writes "u v" per edge
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"{g.n} {len(e)}\n")
-        for u, v in e:
-            fh.write(f"{u} {v}\n")
+        fh.write(f"{g.n} {len(e)}\n" + ("%d %d\n" * len(e))
+                 % tuple(e.ravel().tolist()))

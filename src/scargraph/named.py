@@ -40,13 +40,10 @@ def mcgee_graph() -> Graph:
     LCF notation [12, 7, -7]^8 on a 24-cycle.
     """
     n = 24
-    shifts = [12, 7, -7]
-    edges = set()
-    for i in range(n):
-        edges.add((min(i, (i + 1) % n), max(i, (i + 1) % n)))
-        j = (i + shifts[i % 3]) % n
-        edges.add((min(i, j), max(i, j)))
-    return build_graph(n, sorted(edges))
+    i = np.arange(n)
+    j = (i + np.resize([12, 7, -7], n)) % n      # each chord from both ends
+    return build_graph(n, np.concatenate([np.column_stack([i, (i + 1) % n]),
+                                          np.column_stack([i, j])[i < j]]))
 
 
 def random_regular_graph(n: int, degree: int, seed: int = 0,
@@ -60,15 +57,10 @@ def random_regular_graph(n: int, degree: int, seed: int = 0,
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), degree)
     for _ in range(max_tries):
-        perm = rng.permutation(stubs)
-        u, v = perm[0::2], perm[1::2]
-        if (u == v).any():
+        try:
+            return build_graph(n, rng.permutation(stubs).reshape(-1, 2))
+        except ValueError:          # a self-loop or a repeated edge
             continue
-        lo, hi = np.minimum(u, v), np.maximum(u, v)
-        key = lo * n + hi
-        if len(np.unique(key)) != len(key):
-            continue
-        return build_graph(n, np.column_stack([lo, hi]))
     raise RuntimeError("no simple pairing found; raise max_tries or n")
 
 

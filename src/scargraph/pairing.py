@@ -94,31 +94,28 @@ def girth_required(d: int, r: int) -> int:
 # -- mutable swap state --------------------------------------------------------
 
 class _SwapState:
-    """Adjacency kept simultaneously as Python lists (for scalar BFS) and
-    CSR arrays (for the far-partner searches of graphs._hop_distances and
-    the padded neighbour table each _batched_cycle_scan builds); swaps only
-    ever replace one neighbor entry by another, so degrees never change and
-    both stay in sync."""
+    """Adjacency under swaps, kept once, as CSR arrays (v's neighbours in
+    the order its edges were given), which the far-partner searches and
+    _batched_cycle_scan read.  ``lists[v]`` is v's row as a memoryview slice
+    of ``indices``: _cycle_through_edge iterates it, _replace writes through
+    it.  A swap replaces one neighbour entry by another, so degrees and
+    ``indptr`` never change."""
 
     def __init__(self, n: int, edges):
-        lists = [[] for _ in range(n)]
-        for u, v in edges:
-            lists[u].append(v)
-            lists[v].append(u)
+        e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
+        # the half-edges interleaved, u0 -> v0, v0 -> u0, u1 -> v1, ...: a
+        # stable sort by tail lists each vertex's neighbours in edge order
+        tails, heads = e.ravel(), e[:, ::-1].ravel()
         self.n = n
-        self.lists = lists
-        deg = np.fromiter((len(a) for a in lists), dtype=np.int64, count=n)
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
-        flat = [w for a in lists for w in a]
-        self.indices = np.array(flat, dtype=np.int64)
+        np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
+        self.indices = heads[np.argsort(tails, kind="stable")]
+        rows, ptr = memoryview(self.indices), self.indptr.tolist()
+        self.lists = [rows[a:b] for a, b in zip(ptr, ptr[1:])]
 
     def _replace(self, u: int, old: int, new: int):
-        a = self.lists[u]
-        a[a.index(old)] = new
-        s, e = self.indptr[u], self.indptr[u + 1]
-        seg = self.indices[s:e]
-        seg[np.nonzero(seg == old)[0][0]] = new
+        row = self.lists[u]
+        row[row.tolist().index(old)] = new
 
     def exchange_parents(self, x: int, y: int, px: int, py: int):
         """Edges (x, px), (y, py) become (x, py), (y, px)."""
@@ -128,8 +125,9 @@ class _SwapState:
         self._replace(py, y, x)
 
     def to_graph(self) -> Graph:
-        return build_graph(self.n, [(u, v) for u in range(self.n)
-                                    for v in self.lists[u] if u < v])
+        tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
+        keep = tails < self.indices
+        return build_graph(self.n, np.column_stack([tails, self.indices])[keep])
 
 
 def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
@@ -328,20 +326,21 @@ class Pairing:
             fh.write(self.to_json() + "\n")
 
 
-def _attach_tree(edges: list, d: int, depth: int, anchors, first: int,
+def _attach_tree(d: int, depth: int, anchors, first: int,
                  rng: np.random.Generator):
-    """Append the interior of a fresh depth-``depth`` d-ary tree on ids
-    first.. to ``edges``, and join anchor i to the parent of leaf slot
-    slots[i] for a seeded random bijection ``slots``; the leaves themselves
-    are the anchors.  Returns (slots, slot_parent, interior levels, next
-    free id)."""
+    """A fresh depth-``depth`` d-ary tree on ids first.., whose leaves are
+    the anchors: anchor i is joined to the parent of leaf slot slots[i] for
+    a seeded random bijection ``slots``.  Returns (edges, slots,
+    slot_parent, interior levels, next free id); ``edges`` is an (m, 2)
+    array, the interior edges and then the anchor joins."""
     levels, parent = tree_layout(d, depth, first)
     nxt = int(levels[-1][0])
-    edges += zip(range(first + 1, nxt), parent[:nxt - first - 1].tolist())
     slot_parent = parent[nxt - first - 1:]
     slots = rng.permutation(len(anchors))
-    edges += [(int(a), int(slot_parent[j])) for a, j in zip(anchors, slots)]
-    return slots, slot_parent, levels[:-1], nxt
+    edges = np.concatenate([
+        np.column_stack([np.arange(first + 1, nxt), parent[:nxt - first - 1]]),
+        np.column_stack([anchors, slot_parent[slots]])])
+    return edges, slots, slot_parent, levels[:-1], nxt
 
 
 def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
@@ -358,11 +357,11 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     levels, parent = tree_layout(d, depth)
     points = levels[-1]
     n = len(points)
-    edges = list(zip(range(1, len(parent) + 1), parent.tolist()))
+    t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
     rng = np.random.default_rng(seed)
-    slots, t2p, _, total = _attach_tree(edges, d, depth, points,
-                                        len(parent) + 1, rng)
-    state = _SwapState(total, edges)
+    t2, slots, t2p, _, total = _attach_tree(d, depth, points,
+                                            len(parent) + 1, rng)
+    state = _SwapState(total, np.concatenate([t1, t2]))
     guaranteed = guaranteed_girth(d, n)
     res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
                      guaranteed, max_swaps=10 * n + 1000)

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import (ConstructionError, Graph, ball, bfs_distances, girth,
-                     is_regular)
+from .graphs import (ConstructionError, Graph, _neighbours, ball,
+                     bfs_distances, girth, is_regular)
 from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_target,
                       guaranteed_girth)
 from .spectral import residual
@@ -88,15 +88,14 @@ def carve_site(h: Graph, u: int, r: int) -> ScarSite:
             f"radius-{r + 1} ball around {u} is not a tree; base girth too small")
     t1_levels = [np.array(lay, dtype=np.int64) for lay in b.layers[:r]]
     leaves = np.array(b.layers[r], dtype=np.int64)
-    outer = set(b.layers[r + 1])
-    partners = []
-    for leaf in leaves:
-        outward = [int(w) for w in h.neighbors(int(leaf)) if int(w) in outer]
-        if not outward:
-            raise ConstructionError(
-                f"leaf {leaf} has no distance-{r + 1} neighbor in a regular graph")
-        partners.append(min(outward))
-    partners = np.array(partners, dtype=np.int64)
+    # each leaf's lowest-index neighbour on level r+1, or h.n if none
+    nbrs, deg = _neighbours(h.indptr, h.indices, leaves)
+    outward = np.where(np.isin(nbrs, b.layers[r + 1]), nbrs, h.n)
+    partners = np.minimum.reduceat(outward, np.cumsum(deg) - deg).astype(np.int64)
+    if (partners == h.n).any():
+        raise ConstructionError(
+            f"leaf {leaves[np.argmax(partners == h.n)]} has no "
+            f"distance-{r + 1} neighbor in a regular graph")
     if len(np.unique(partners)) != len(partners):
         raise ConstructionError(
             "matched partners collide although the (r+1)-ball is a tree")
@@ -188,26 +187,28 @@ def glue(h: Graph, sites, seed: int = 0) -> ScarredGraph:
 
 def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
     rng = np.random.default_rng(seed)
-    removed = set()
-    for s in sites:
-        for u, v in s.removed_matching:
-            removed.add((min(int(u), int(v)), max(int(u), int(v))))
-    edges = [tuple(e) for e in h.edges() if (int(e[0]), int(e[1])) not in removed]
+    # the base edges (u < v) minus every site's matching, by key u * n + v
+    base = h.edges()
+    cut = np.concatenate([s.removed_matching for s in sites])
+    keep = ~np.isin(base[:, 0] * h.n + base[:, 1],
+                    cut.min(axis=1) * h.n + cut.max(axis=1))
+    parts = [base[keep]]
 
     next_id = h.n
     plans = []
     out_sites = []
     for s in sites:
-        slots2, t2sp, t2_levels, next_id = _attach_tree(
-            edges, d, r, s.leaves, next_id, rng)
-        slots3, t3sp, t3_levels, next_id = _attach_tree(
-            edges, d, r, s.partners, next_id, rng)
+        t2, slots2, t2sp, t2_levels, next_id = _attach_tree(
+            d, r, s.leaves, next_id, rng)
+        t3, slots3, t3sp, t3_levels, next_id = _attach_tree(
+            d, r, s.partners, next_id, rng)
+        parts += [t2, t3]
         plans.append((s, slots2, t2sp, slots3, t3sp))
         out_sites.append(ScarSite(s.root, r, d, s.t1_levels, s.leaves,
                                   s.partners, s.removed_matching,
                                   t2_levels, t3_levels))
 
-    state = _SwapState(next_id, edges)
+    state = _SwapState(next_id, np.concatenate(parts))
     nleaves = (d + 1) * d ** (r - 1)
     target = girth_target(d, nleaves)
     guaranteed = guaranteed_girth(d, nleaves)

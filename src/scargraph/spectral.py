@@ -13,7 +13,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
-from .graphs import Graph, _hop_distances, is_connected, is_regular
+from .graphs import (Graph, _hop_distances, _neighbours, is_connected,
+                     is_regular)
 from .trees import DaryTree
 
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
@@ -257,22 +258,17 @@ def kahale_check(g: Graph, inst: KahaleInstance, test_vec=None,
     if any(len(lay) == 0 for lay in layers):
         raise ValueError("inconsistent layers: some layer up to h is empty")
     near = np.concatenate(layers[:h])         # distance <= h-1
-    in_layer = {}
-    for j in (h - 1, h):
-        mask = np.zeros(g.n, dtype=bool)
-        mask[layers[j]] = True
-        in_layer[j] = mask
-
-    adj = g.adjacency_lists()
     layer_regular = {}
-    cond1 = True
     for i in (h - 1, h):
+        nbrs, deg = _neighbours(g.indptr, g.indices, layers[i])
+        rows = np.repeat(np.arange(len(layers[i])), deg)
         for j in (h - 1, h):
-            counts = {sum(in_layer[j][w] for w in adj[int(v)])
-                      for v in layers[i]}
-            const = len(counts) == 1
-            layer_regular[(i, j)] = (const, counts.pop() if const else None)
-            cond1 &= const
+            # the neighbours each vertex of layer i has in layer j
+            counts = np.bincount(rows, weights=np.isin(nbrs, layers[j]),
+                                 minlength=len(layers[i])).astype(np.int64)
+            const = bool((counts == counts[0]).all())
+            layer_regular[(i, j)] = (const, int(counts[0]) if const else None)
+    cond1 = all(const for const, _ in layer_regular.values())
 
     svals = [inst.s[lay] for lay in layers]
     cond2 = all(np.ptp(sv) == 0 for sv in (svals[h - 1], svals[h]))

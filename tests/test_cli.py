@@ -388,3 +388,33 @@ class TestQeTable:
         w, vecs = eigh(sg.graph.csr().toarray())
         top = max(row[4] for row in qe_rows(w, vecs, S))
         assert abs(top - (1 - len(S) / sg.graph.n)) <= 1e-12
+
+
+class TestMalformedEdgeList:
+    CONTENT = "4 3\n0 1\n2 3\n1 0\n"
+    MESSAGE = "line 4: duplicate edge (0, 1)"
+
+    def test_exit_two_with_the_line(self, tmp_path, capsys):
+        bad = tmp_path / "dup.edges"
+        bad.write_text(self.CONTENT)
+        code = main(["spectrum", "--graph", str(bad), "--k", "1",
+                     "--out", str(tmp_path / "s.csv")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert self.MESSAGE in err and "Traceback" not in err
+
+    def test_subprocess_has_no_traceback(self, tmp_path):
+        import os
+        import subprocess
+        import sys
+        bad = tmp_path / "big.edges"
+        bad.write_text("4 1\n0 123456789012345678901234567890\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scargraph.cli", "base", "validate",
+             "--graph", str(bad), "--d", "2", "--r", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "line 2: endpoint out of range [0, 4)" in proc.stderr
+        assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -338,3 +339,91 @@ class TestEdgeListFormat:
         p.write_text(content)
         with pytest.raises(EdgeListFormatError, match=msg):
             load_edge_list(p)
+
+
+class TestEdgeListErrorsAndBytes:
+    """The loader reports the first offending line, whatever the kind of
+    fault, with the message the line-by-line reading gives; the writer's
+    bytes are pinned."""
+
+    @pytest.mark.parametrize("content,msg", [
+        # across lines, the first bad line wins whatever its kind
+        ("3 2\n0 9\n1 1\n", "line 2: endpoint out of range [0, 3)"),
+        ("4 3\n0 1\n2 2\n0 1 2\n", "line 3: self-loop at 2"),
+        ("4 3\n0 1\n0 1 2\n2 2\n", "line 3: expected 'u v'"),
+        ("4 3\n0 1\n1 0\n2 x\n", "line 3: duplicate edge (0, 1)"),
+        ("4 3\n0 1\n2 x\n1 0\n", "line 3: endpoints must be integers"),
+        ("4 3\n0 1\n2 3\n1 0\n", "line 4: duplicate edge (0, 1)"),
+        # within a line: shape, then integers, then range, then self-loop
+        ("4 1\n9 x\n", "line 2: endpoints must be integers"),
+        ("4 1\nx 9\n", "line 2: endpoints must be integers"),
+        ("4 1\n5 5\n", "line 2: endpoint out of range [0, 4)"),
+        ("4 1\n-1 2\n", "line 2: endpoint out of range [0, 4)"),
+        # lo * n + hi of an out-of-range pair can equal a valid pair's
+        ("3 2\n1 2\n0 5\n", "line 3: endpoint out of range [0, 3)"),
+        ("3 2\n0 5\n1 2\n", "line 2: endpoint out of range [0, 3)"),
+        # blank and whitespace-only lines count in the line numbers
+        ("4 2\n\n0 1\n \t \n1 1\n", "line 5: self-loop at 1"),
+        ("4 2\n0 1\n\n\n0 1\n", "line 5: duplicate edge (0, 1)"),
+        ("4 2\n0 1\n\n1\n", "line 4: expected 'u v'"),
+        ("4 2\r\n0 1\r\n\r\n1 1\r\n", "line 4: self-loop at 1"),
+        # endpoints beyond 64 bits are out of range, not an overflow
+        ("3 1\n0 123456789012345678901234567890\n",
+         "line 2: endpoint out of range [0, 3)"),
+        ("3 2\n0 1\n-123456789012345678901234567890 1\n",
+         "line 3: endpoint out of range [0, 3)"),
+        ("3 1\n123456789012345678901234567890 x\n",
+         "line 2: endpoints must be integers"),
+        # what int() rejects is not an integer
+        ("4 1\n3.0 1\n", "line 2: endpoints must be integers"),
+        ("4 1\n0x3 1\n", "line 2: endpoints must be integers"),
+        ("4 1\n1e3 1\n", "line 2: endpoints must be integers"),
+        ("4 1\n1__0 1\n", "line 2: endpoints must be integers"),
+        # endpoints are reported as the integers they parse to
+        ("11 1\n+3 3\n", "line 2: self-loop at 3"),
+        ("11 2\n1_0 3\n+3 10\n", "line 3: duplicate edge (3, 10)"),
+        # the edge count is checked before any edge line
+        ("3 3\n0 1\n1 1\n", "header declares 3 edges but file has 2"),
+    ])
+    def test_first_offending_line(self, tmp_path, content, msg):
+        p = tmp_path / "bad.edges"
+        p.write_text(content)
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list(p)
+        assert str(err.value).startswith(msg)
+
+    def test_int_syntax_accepted(self, tmp_path):
+        p = tmp_path / "ok.edges"
+        p.write_text("11 3\n+3 1_0\n 0\t2 \n\n-0 +1\n")
+        g = load_edge_list(p)
+        assert g.n == 11
+        assert g.edges().tolist() == [[0, 1], [0, 2], [3, 10]]
+
+    def test_petersen_bytes(self, tmp_path):
+        path = tmp_path / "p.edges"
+        save_edge_list(petersen_graph(), path)
+        assert path.read_bytes() == (
+            b"10 15\n0 1\n0 4\n0 5\n1 2\n1 6\n2 3\n2 7\n3 4\n3 8\n4 9\n"
+            b"5 7\n5 8\n6 8\n6 9\n7 9\n")
+
+    def test_empty_graph_bytes(self, tmp_path):
+        path = tmp_path / "e.edges"
+        save_edge_list(build_graph(3, []), path)
+        assert path.read_bytes() == b"3 0\n"
+        h = load_edge_list(path)
+        assert h.n == 3 and h.num_edges == 0
+
+    def test_lps13_base_digest(self, tmp_path):
+        from scargraph.base import lps_graph
+        path = tmp_path / "lps13.edges"
+        save_edge_list(lps_graph(13, 17), path)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+            "50c08ed2990395dfb962943f537b2cbe9fdbdfad63a5c3a6bbced9ab5e17f4ae")
+
+    def test_round_trip_lps29(self, tmp_path, lps_h):
+        path = tmp_path / "lps29.edges"
+        save_edge_list(lps_h, path)
+        h = load_edge_list(path)
+        assert h.n == lps_h.n == 12180
+        assert np.array_equal(h.indptr, lps_h.indptr)
+        assert np.array_equal(h.indices, lps_h.indices)

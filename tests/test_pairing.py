@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scargraph.certificate import girth_required
-from scargraph.graphs import girth
+from scargraph.graphs import build_graph, girth
 from scargraph.pairing import (_SwapState, _batched_cycle_scan,
                                _cycle_through_edge, guaranteed_girth,
                                pair_trees, path_count_cumulative,
@@ -224,3 +224,54 @@ class TestBatchedCycleScan:
                         for x, p in zip(points, parents)]
             got = _batched_cycle_scan(state, points, parents, cutoff)
             assert got.tolist() == expected, cutoff
+
+
+@st.composite
+def swap_inputs(draw):
+    """A random simple graph on up to 12 vertices, its edges in a random
+    order and orientation, and a list of edge-index pairs to exchange."""
+    n = draw(st.integers(2, 12))
+    vertex = st.integers(0, n - 1)
+    pairs = draw(st.lists(st.tuples(vertex, vertex), max_size=3 * n))
+    edges = sorted({(min(u, v), max(u, v)) for u, v in pairs if u != v})
+    edges = draw(st.permutations(edges))
+    flips = draw(st.lists(st.booleans(), min_size=len(edges),
+                          max_size=len(edges)))
+    edges = [(v, u) if f else (u, v) for (u, v), f in zip(edges, flips)]
+    swaps = []
+    if edges:
+        index = st.integers(0, len(edges) - 1)
+        swaps = draw(st.lists(st.tuples(index, index), max_size=8))
+    return n, edges, swaps
+
+
+class TestSwapState:
+    @settings(max_examples=200, deadline=None)
+    @given(swap_inputs())
+    def test_csr_is_append_order_and_swaps_match_rebuild(self, inputs):
+        n, edges, swaps = inputs
+        rows = [[] for _ in range(n)]
+        for u, v in edges:
+            rows[u].append(v)
+            rows[v].append(u)
+        state = _SwapState(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        assert state.indptr.tolist() == [0] + list(
+            np.cumsum([len(a) for a in rows]))
+        assert state.indices.tolist() == [w for a in rows for w in a]
+        assert [list(state.lists[v]) for v in range(n)] == rows
+        current = {frozenset(e) for e in edges}
+        ends = [tuple(e) for e in edges]
+        for i, j in swaps:
+            (x, px), (y, py) = ends[i], ends[j]
+            new = {frozenset((x, py)), frozenset((y, px))}
+            if len({x, px, y, py}) < 4 or new & current:
+                continue
+            state.exchange_parents(x, y, px, py)
+            current -= {frozenset((x, px)), frozenset((y, py))}
+            current |= new
+            ends[i], ends[j] = (x, py), (y, px)
+        g = state.to_graph()
+        expected = build_graph(n, sorted(tuple(sorted(e)) for e in current))
+        assert g.n == expected.n
+        assert np.array_equal(g.indptr, expected.indptr)
+        assert np.array_equal(g.indices, expected.indices)
