@@ -40,10 +40,11 @@ def legendre_symbol(a: int, p: int) -> int:
     return -1 if ls == p - 1 else 1
 
 
-def sqrt_minus_one(q: int, seed: int = 0) -> int:
+def sqrt_minus_one(q: int) -> int:
     """A square root of -1 mod q (q prime, q = 1 mod 4), found by powering
-    seeded random candidates; nonresidues succeed, so a few tries suffice."""
-    rng = np.random.default_rng(seed)
+    random candidates from a fixed seed, so the root (and every LPS graph)
+    is reproducible; nonresidues succeed, so a few tries suffice."""
+    rng = np.random.default_rng(0)
     for _ in range(128):
         z = int(rng.integers(2, q))
         i = pow(z, (q - 1) // 4, q)
@@ -111,7 +112,7 @@ def generator_matrices(p: int, q: int) -> list:
     return [tuple(g) for g in _canon(m, q).tolist()]
 
 
-def lps_graph(p_or_params, q: int | None = None) -> Graph:
+def lps_graph(p: int, q: int) -> Graph:
     """The (p+1)-regular quaternion Cayley graph on PSL(2, q).
 
     Vertices are the q(q^2-1)/2 projective matrices with square determinant;
@@ -119,10 +120,7 @@ def lps_graph(p_or_params, q: int | None = None) -> Graph:
     root of -1 mod q.  Only the non-bipartite case (p a square mod q) is
     generated; the bipartite case is rejected with guidance.
     """
-    params = p_or_params if isinstance(p_or_params, LpsParams) \
-        else LpsParams(p_or_params, q)
-    p, q = params.p, params.q
-    if params.legendre != 1:
+    if LpsParams(p, q).legendre != 1:
         raise ValueError(
             f"p = {p} is not a square mod q = {q}: that branch is bipartite "
             f"on all of PGL(2, q); pick another q (e.g. one with (p|q) = 1)")

@@ -4,9 +4,10 @@ builds on.
 
 Vertices are dense integer indices ``0..n-1``.  Adjacency is stored in CSR
 form (an offset array plus one flat, per-vertex-sorted neighbor array) so
-traversals stay cache friendly; Python adjacency lists and a scipy sparse
-matrix are derived lazily and cached.  A :class:`Graph` is immutable after
-construction, so all queries are safe to run concurrently.
+traversals stay cache friendly.  The CSR is the only adjacency a graph
+keeps: a scipy sparse matrix is derived lazily and cached, and Python
+adjacency lists are built anew on each request.  A :class:`Graph` is
+immutable after construction, so all queries are safe to run concurrently.
 
 Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
 the layers around a vertex set, the swap engine's far-partner search) come
@@ -35,6 +36,10 @@ import scipy.sparse as sp
 from scipy.sparse.csgraph import connected_components
 
 INFINITE_GIRTH = math.inf
+# Largest vertex count a graph may have: keeps the edge keys lo * n + hi
+# well inside int64 and the offset array (8 bytes per vertex) allocatable,
+# far above LPS(5, 89)'s 352440 vertices.
+MAX_VERTICES = 2**26
 
 
 class EdgeListFormatError(ValueError):
@@ -52,7 +57,7 @@ class Graph:
     than calling the constructor directly.
     """
 
-    __slots__ = ("n", "indptr", "indices", "_adj", "_csr")
+    __slots__ = ("n", "indptr", "indices", "_csr")
 
     def __init__(self, n: int, indptr: np.ndarray, indices: np.ndarray):
         self.n = int(n)
@@ -60,7 +65,6 @@ class Graph:
         self.indices = indices
         indptr.setflags(write=False)
         indices.setflags(write=False)
-        self._adj = None
         self._csr = None
 
     @property
@@ -80,12 +84,11 @@ class Graph:
         return np.column_stack([src[mask], self.indices[mask]])
 
     def adjacency_lists(self) -> tuple:
-        """Per-vertex neighbor lists as plain Python lists (cached)."""
-        if self._adj is None:
-            idx = self.indices.tolist()
-            ptr = self.indptr.tolist()
-            self._adj = tuple(idx[ptr[v]:ptr[v + 1]] for v in range(self.n))
-        return self._adj
+        """Per-vertex neighbor lists as plain Python lists, built on each
+        call; callers that loop over them keep the tuple they get."""
+        idx = self.indices.tolist()
+        ptr = self.indptr.tolist()
+        return tuple(idx[ptr[v]:ptr[v + 1]] for v in range(self.n))
 
     def csr(self) -> sp.csr_matrix:
         """Adjacency as a scipy CSR matrix with float64 data (cached)."""
@@ -104,10 +107,13 @@ def build_graph(n: int, edges) -> Graph:
     """Canonical Graph from a vertex count and an (m, 2) array or an
     iterable of vertex pairs.
 
-    Rejects out-of-range endpoints, self-loops and duplicate edges.
+    Rejects a vertex count above ``MAX_VERTICES``, out-of-range endpoints,
+    self-loops and duplicate edges.
     """
     if n < 0:
         raise ValueError("vertex count must be nonnegative")
+    if n > MAX_VERTICES:
+        raise ValueError(f"vertex count must be at most {MAX_VERTICES}")
     e = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges),
                    dtype=np.int64)
     if e.size == 0:
@@ -390,9 +396,8 @@ def is_regular(g: Graph):
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n == 0:
-        return True
-    return int((bfs_distances(g, 0).dist >= 0).sum()) == g.n
+    return g.n == 0 or connected_components(
+        g.csr(), directed=False, return_labels=False) == 1
 
 
 def vertex_expansion(g: Graph, S) -> Fraction:
@@ -424,10 +429,6 @@ def bs_cycle_fraction(g: Graph, radius: int) -> Fraction:
 #
 # First line "n m", then m lines "u v" (0-based, whitespace-separated).
 
-# str.split()'s separators, by code point; none lies at U+3001 or above
-_SPACE = np.array([chr(c).isspace() for c in range(0x3002)])
-
-
 def load_edge_list(path) -> Graph:
     """Parse the edge-list text format; malformed input raises an error
     naming its first offending line.  An endpoint is any token int()
@@ -446,31 +447,29 @@ def load_edge_list(path) -> Graph:
         raise EdgeListFormatError("line 1: header must hold two integers") from None
     if n < 0 or m < 0:
         raise EdgeListFormatError("line 1: n and m must be nonnegative")
-    # tokens per body line: a token starts at a non-space after a space
-    body = "\n".join(lines[1:])
-    chars = np.frombuffer(body.encode("utf-32-le"), dtype=np.uint32)
-    space = _SPACE[np.minimum(chars, 0x3001)]
-    start = np.flatnonzero(~space & np.concatenate([[True], space[:-1]]))
-    line = np.searchsorted(np.flatnonzero(chars == 10), start)  # 0-based
-    count = np.bincount(line, minlength=len(lines) - 1)
+    if n > MAX_VERTICES:
+        raise EdgeListFormatError(f"line 1: n must be at most {MAX_VERTICES}")
+    count = np.fromiter(map(len, map(str.split, lines[1:])), dtype=np.int64,
+                        count=len(lines) - 1)     # tokens per body line
     lineno = np.flatnonzero(count) + 2     # file line of each edge line
     if len(lineno) != m:
         raise EdgeListFormatError(
             f"header declares {m} edges but file has {len(lineno)} edge lines")
-    words, fault = body.split(), None      # fault: (edge line, message)
+    words, fault = "\n".join(lines[1:]).split(), None  # (edge line, msg)
     shape = np.flatnonzero(count[count > 0] != 2)
     if shape.size:
         fault, words = (shape[0], "expected 'u v'"), words[:2 * shape[0]]
     try:
         e = np.array(words, dtype=np.int64).reshape(-1, 2)
     except (ValueError, OverflowError):
-        row = _first_rejected(words) // 2
-        try:
-            list(map(int, words[2 * row:2 * row + 2]))
-            fault = (row, f"endpoint out of range [0, {n})")
-        except ValueError:
-            fault = (row, "endpoints must be integers")
-        e = np.array(words[:2 * row], dtype=np.int64).reshape(-1, 2)
+        # the first token int() rejects or int64 cannot hold decides
+        ends = list(map(_int_or_none, words))
+        row = next(i for i, x in enumerate(ends)
+                   if x is None or not -2**63 <= x < 2**63) // 2
+        fault = (row, "endpoints must be integers"
+                 if None in ends[2 * row:2 * row + 2]
+                 else f"endpoint out of range [0, {n})")
+        e = np.array(ends[:2 * row], dtype=np.int64).reshape(-1, 2)
     out, loop, repeat, lo, hi = _edge_faults(n, e)
     bad = np.flatnonzero(out | loop | repeat)
     if bad.size:
@@ -483,17 +482,11 @@ def load_edge_list(path) -> Graph:
     return _graph_from_half_edges(n, lo, hi)
 
 
-def _first_rejected(words) -> int:
-    """Index of the first token the int64 conversion rejects, by bisection."""
-    good, bad = 0, len(words)      # words[:good] converts, words[:bad] not
-    while bad - good > 1:
-        mid = (good + bad) // 2
-        try:
-            np.array(words[good:mid], dtype=np.int64)
-            good = mid
-        except (ValueError, OverflowError):
-            bad = mid
-    return good
+def _int_or_none(word):
+    try:
+        return int(word)
+    except ValueError:
+        return None
 
 
 def save_edge_list(g: Graph, path) -> None:

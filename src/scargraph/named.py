@@ -7,6 +7,9 @@ import numpy as np
 
 from .graphs import Graph, build_graph, girth
 
+PAIRING_TRIES = 10000     # configuration-model draws before giving up
+GIRTH_TRIES = 20000       # random regular graphs drawn per girth target
+
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
@@ -46,8 +49,7 @@ def mcgee_graph() -> Graph:
                                           np.column_stack([i, j])[i < j]]))
 
 
-def random_regular_graph(n: int, degree: int, seed: int = 0,
-                         max_tries: int = 10000) -> Graph:
+def random_regular_graph(n: int, degree: int, seed: int = 0) -> Graph:
     """Uniform-ish random regular graph via the configuration model,
     resampling until the pairing is simple."""
     if n * degree % 2 != 0:
@@ -56,16 +58,17 @@ def random_regular_graph(n: int, degree: int, seed: int = 0,
         raise ValueError("degree must be below n")
     rng = np.random.default_rng(seed)
     stubs = np.repeat(np.arange(n), degree)
-    for _ in range(max_tries):
+    for _ in range(PAIRING_TRIES):
         try:
             return build_graph(n, rng.permutation(stubs).reshape(-1, 2))
         except ValueError:          # a self-loop or a repeated edge
             continue
-    raise RuntimeError("no simple pairing found; raise max_tries or n")
+    raise RuntimeError(
+        f"no simple pairing found in {PAIRING_TRIES} tries; raise n")
 
 
 def random_regular_with_girth(n: int, degree: int, min_girth: int,
-                              seed: int = 0, max_tries: int = 20000) -> Graph:
+                              seed: int = 0) -> Graph:
     """Resample random regular graphs until the girth reaches ``min_girth``.
 
     Practical only while short cycles are merely Poisson-rare (min_girth
@@ -73,8 +76,8 @@ def random_regular_with_girth(n: int, degree: int, min_girth: int,
     seed.
     """
     rng = np.random.default_rng(seed)
-    for _ in range(max_tries):
+    for _ in range(GIRTH_TRIES):
         g = random_regular_graph(n, degree, seed=int(rng.integers(2**62)))
         if girth(g) >= min_girth:
             return g
-    raise RuntimeError(f"no girth-{min_girth} sample within {max_tries} tries")
+    raise RuntimeError(f"no girth-{min_girth} sample within {GIRTH_TRIES} tries")

@@ -218,8 +218,8 @@ class _EngineResult:
 
 
 def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
-               slot_parent: np.ndarray, target: int, guaranteed: int,
-               max_swaps: int) -> _EngineResult:
+               slot_parent: np.ndarray, target: int,
+               guaranteed: int) -> _EngineResult:
     """Raise the shortest cycle through the movable edges to ``target``.
 
     At level g (current shortest), a far partner at distance >= target keeps
@@ -228,9 +228,11 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     its absence is a hard internal error; at or above it we fall back to
     trying every partner and accepting a swap only when neither rewired edge
     carries a cycle of length <= g afterwards.  When even that stalls, the
-    engine stops and reports honestly.
+    engine stops and reports honestly.  More than 10 swaps per point (plus
+    1000) is a runaway search and raises.
     """
     npts = len(points)
+    max_swaps = 10 * npts + 1000
     if len(np.unique(slot_parent)) <= 1:
         # all leaves hang off one parent: every assignment is the same graph
         return _EngineResult(0, False)
@@ -364,7 +366,7 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     state = _SwapState(total, np.concatenate([t1, t2]))
     guaranteed = guaranteed_girth(d, n)
     res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
-                     guaranteed, max_swaps=10 * n + 1000)
+                     guaranteed)
     girth = int(_batched_cycle_scan(state, points, t2p[slots],
                                     4 * depth + 2).min())
     if girth < guaranteed:

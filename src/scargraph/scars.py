@@ -213,12 +213,10 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
     target = girth_target(d, nleaves)
     guaranteed = guaranteed_girth(d, nleaves)
     for s, slots2, t2sp, slots3, t3sp in plans:
-        _run_swaps(state, s.leaves, slots2, t2sp, target, guaranteed,
-                   max_swaps=10 * nleaves + 1000)
+        _run_swaps(state, s.leaves, slots2, t2sp, target, guaranteed)
         # T3: no counting guarantee through the ambient graph, so pure
         # accept-if-improving local search (a depth-1 tree needs none)
-        _run_swaps(state, s.partners, slots3, t3sp, target, 0,
-                   max_swaps=10 * nleaves + 1000)
+        _run_swaps(state, s.partners, slots3, t3sp, target, 0)
 
     g = state.to_graph()
     deg = is_regular(g)

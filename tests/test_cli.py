@@ -9,7 +9,7 @@ from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
 from scargraph.cli import (QE_MAX_VERTICES, RunConfig, main, qe_rows,
                            run_pipeline)
-from scargraph.graphs import save_edge_list
+from scargraph.graphs import MAX_VERTICES, save_edge_list
 from scargraph.named import cycle_graph, mcgee_graph
 from scargraph.qe import min_support_for_mass, scarring_witness
 from scargraph.scars import multi_glue
@@ -417,4 +417,38 @@ class TestMalformedEdgeList:
             capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 2
         assert "line 2: endpoint out of range [0, 4)" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+
+class TestOversizedHeader:
+    """A header n above graphs.MAX_VERTICES exits 2 naming line 1, without
+    a traceback, before any array of that size is made."""
+
+    @pytest.mark.parametrize("n", [99999999999999999999, 4000000000,
+                                   MAX_VERTICES + 1])
+    def test_exit_two_in_process(self, tmp_path, capsys, n):
+        bad = tmp_path / "big.edges"
+        bad.write_text(f"{n} 1\n0 1\n")
+        code = main(["base", "validate", "--graph", str(bad), "--d", "2",
+                     "--r", "1"])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"line 1: n must be at most {MAX_VERTICES}" in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize("n", [99999999999999999999, 4000000000])
+    def test_subprocess_has_no_traceback(self, tmp_path, n):
+        import os
+        import subprocess
+        import sys
+        bad = tmp_path / "big.edges"
+        bad.write_text(f"{n} 1\n0 1\n")
+        src = os.path.join(os.path.dirname(__file__), "..", "src")
+        env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+        proc = subprocess.run(
+            [sys.executable, "-m", "scargraph.cli", "base", "validate",
+             "--graph", str(bad), "--d", "2", "--r", "1"],
+            capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 2
+        assert "line 1: n must be at most" in proc.stderr
         assert "Traceback" not in proc.stderr

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scargraph import graphs
 from scargraph.graphs import (_CHUNK_ENTRIES, EdgeListFormatError,
                               _widest_sphere, ball, bfs_distances,
                               bs_cycle_fraction, build_graph, girth,
@@ -427,3 +428,148 @@ class TestEdgeListErrorsAndBytes:
         assert h.n == lps_h.n == 12180
         assert np.array_equal(h.indptr, lps_h.indptr)
         assert np.array_equal(h.indices, lps_h.indices)
+
+
+class TestConnected:
+    def test_long_path_and_cycle(self):
+        assert is_connected(path_graph(20000))
+        assert is_connected(cycle_graph(20000))
+        assert is_connected(build_graph(0, [])) and is_connected(path_graph(1))
+
+    def test_disconnected(self):
+        assert not is_connected(build_graph(2, []))
+        assert not is_connected(build_graph(20000, [(i, i + 1) for i in
+                                                    range(19998)]))
+        assert not is_connected(build_graph(6, [(0, 1), (1, 2), (2, 0),
+                                                (3, 4), (4, 5), (5, 3)]))
+
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs())
+    def test_matches_networkx(self, g):
+        expect = g.n == 0 or nx.is_connected(to_networkx(g))
+        assert is_connected(g) == expect
+
+
+class TestVertexBound:
+    """A header n above MAX_VERTICES is rejected on line 1 before anything
+    is allocated for it."""
+
+    @pytest.mark.parametrize("n", [99999999999999999999, 4000000000,
+                                   graphs.MAX_VERTICES + 1])
+    def test_oversized_header(self, tmp_path, n):
+        p = tmp_path / "big.edges"
+        p.write_text(f"{n} 1\n0 1\n")
+        with pytest.raises(EdgeListFormatError) as err:
+            load_edge_list(p)
+        assert str(err.value) == (
+            f"line 1: n must be at most {graphs.MAX_VERTICES}")
+
+    def test_bound_keeps_keys_in_int64(self):
+        n = graphs.MAX_VERTICES
+        assert n >= 352440 and (n - 1) * n + n - 1 < 2**63
+
+    def test_small_header_without_edges(self, tmp_path):
+        p = tmp_path / "empty.edges"
+        p.write_text("5 0\n")
+        g = load_edge_list(p)
+        assert g.n == 5 and g.num_edges == 0
+
+    def test_build_graph_rejects_oversized_n(self):
+        with pytest.raises(ValueError, match="at most"):
+            build_graph(graphs.MAX_VERTICES + 1, [])
+
+
+def _reference_load(text):
+    """The edge-list format read line by line: (n, sorted edge list) or the
+    error message for the first offending line."""
+    lines = text.splitlines()
+    if not lines:
+        return "line 1: missing header 'n m'"
+    head = lines[0].split()
+    if len(head) != 2:
+        return "line 1: header must be 'n m'"
+    try:
+        n, m = int(head[0]), int(head[1])
+    except ValueError:
+        return "line 1: header must hold two integers"
+    if n < 0 or m < 0:
+        return "line 1: n and m must be nonnegative"
+    body = [(i, line.split()) for i, line in enumerate(lines[1:], start=2)
+            if line.split()]
+    if len(body) != m:
+        return f"header declares {m} edges but file has {len(body)} edge lines"
+    edges = set()
+    for i, words in body:
+        if len(words) != 2:
+            return f"line {i}: expected 'u v'"
+        try:
+            u, v = int(words[0]), int(words[1])
+        except ValueError:
+            return f"line {i}: endpoints must be integers"
+        if not (0 <= u < n and 0 <= v < n):
+            return f"line {i}: endpoint out of range [0, {n})"
+        if u == v:
+            return f"line {i}: self-loop at {u}"
+        if (min(u, v), max(u, v)) in edges:
+            return f"line {i}: duplicate edge ({min(u, v)}, {max(u, v)})"
+        edges.add((min(u, v), max(u, v)))
+    return n, sorted(edges)
+
+
+_SEPARATORS = [" ", "\t", "  ", "\u3000", "\u00a0", " \u3000 "]
+_BREAKS = ["\n", "\r\n", "\u2028"]
+_ODD_TOKENS = ["+3", "1_0", "\u0663", "3.0", "x", "-1", "-0",
+               "123456789012345678901234567890",
+               "-123456789012345678901234567890"]
+
+
+@st.composite
+def edge_list_texts(draw):
+    """Edge-list texts near the format: small n, mostly well-formed lines
+    (so later faults are reached), with blank lines, odd separators and
+    line breaks, wrong token counts, int() syntax, huge endpoints,
+    self-loops and duplicates."""
+    n = draw(st.integers(0, 16))
+    vertex = st.integers(0, max(n - 1, 0)).map(str)
+    odd = st.sampled_from(_ODD_TOKENS)
+    token = st.integers(0, 15).flatmap(lambda k: odd if k == 0 else vertex)
+    sep = st.sampled_from(_SEPARATORS)
+    lines = []
+    for _ in range(draw(st.integers(0, 10))):
+        kind = draw(st.sampled_from(["edge"] * 12 + ["blank", "shape"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", "\u3000"])))
+            continue
+        size = 2 if kind == "edge" else draw(st.sampled_from([1, 3]))
+        words = [draw(token) for _ in range(size)]
+        line = "".join(w + draw(sep) for w in words[:-1]) + words[-1]
+        if draw(st.booleans()):
+            line = draw(sep) + line + draw(sep)
+        lines.append(line)
+    if lines and draw(st.booleans()):          # a duplicate or reversed edge
+        lines.append(" ".join(reversed(draw(st.sampled_from(lines)).split())))
+    edge_lines = sum(1 for line in lines if line.split())
+    m = draw(st.sampled_from([edge_lines] * 8 + [edge_lines + 1]))
+    text = f"{n} {m}"
+    for line in lines:
+        text += draw(st.sampled_from(_BREAKS)) + line
+    return text + draw(st.sampled_from(["", "\n", "\r\n"]))
+
+
+class TestEdgeListDifferential:
+    """load_edge_list gives the graph, or the message, that a plain
+    line-by-line reading gives."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(edge_list_texts())
+    def test_matches_line_by_line_reader(self, tmp_path_factory, text):
+        path = tmp_path_factory.mktemp("diff") / "g.edges"
+        path.write_bytes(text.encode("utf-8"))
+        expect = _reference_load(path.read_text(encoding="utf-8"))
+        try:
+            g = load_edge_list(path)
+        except EdgeListFormatError as err:
+            assert str(err) == expect
+        else:
+            assert (g.n, g.edges().tolist()) == (expect[0],
+                                                  [list(e) for e in expect[1]])
