@@ -10,8 +10,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .graphs import Graph, build_graph, girth, is_bipartite, is_connected, \
-    is_regular, load_edge_list
+from .graphs import MAX_VERTICES, Graph, build_graph, girth, is_bipartite, \
+    is_connected, is_regular, load_edge_list
 from .spectral import extreme_eigenvalues
 
 load_graph = load_edge_list
@@ -83,14 +83,18 @@ class LpsParams:
     legendre: int = field(init=False)
 
     def __post_init__(self):
+        # size checks first, so that no huge p or q reaches trial division
+        n = self.q * (self.q ** 2 - 1) // 2
+        if n > MAX_VERTICES:
+            raise ValueError(f"q = {self.q} gives {n} vertices > {MAX_VERTICES}")
+        if self.q * self.q <= 4 * self.p:
+            raise ValueError(f"need q > 2 sqrt(p), got q = {self.q}")
         if not _is_prime(self.p) or self.p % 4 != 1:
             raise ValueError(f"p = {self.p} must be a prime = 1 mod 4")
         if not _is_prime(self.q) or self.q % 4 != 1:
             raise ValueError(f"q = {self.q} must be a prime = 1 mod 4")
         if self.p == self.q:
             raise ValueError("p and q must be distinct")
-        if self.q * self.q <= 4 * self.p:
-            raise ValueError(f"need q > 2 sqrt(p), got q = {self.q}")
         self.legendre = legendre_symbol(self.p, self.q)
 
 

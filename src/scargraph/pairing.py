@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConstructionError, Graph, _hop_distances, build_graph
+from .graphs import ConstructionError, Graph, _hop_distances, build_graph, girth
 from .trees import tree_layout
 
 _BIG = 10 ** 9
@@ -95,7 +95,7 @@ def girth_required(d: int, r: int) -> int:
 
 class _SwapState:
     """Adjacency under swaps, kept once, as CSR arrays (v's neighbours in
-    the order its edges were given), which the far-partner searches and
+    the order its edges were given), which the partner search and
     _batched_cycle_scan read.  ``lists[v]`` is v's row as a memoryview slice
     of ``indices``: _cycle_through_edge iterates it, _replace writes through
     it.  A swap replaces one neighbour entry by another, so degrees and
@@ -224,12 +224,12 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
 
     At level g (current shortest), a far partner at distance >= target keeps
     every newly created cycle at length >= min(target, 2g) > g.  Below the
-    ``guaranteed`` level such a partner exists by the path-count bound and
-    its absence is a hard internal error; at or above it we fall back to
-    trying every partner and accepting a swap only when neither rewired edge
-    carries a cycle of length <= g afterwards.  When even that stalls, the
-    engine stops and reports honestly.  More than 10 swaps per point (plus
-    1000) is a runaway search and raises.
+    ``guaranteed`` level a partner beyond guaranteed-2 does too, and the
+    path-count bound promises one (its absence is a hard internal error);
+    at or above it we fall back to trying every partner and accepting a swap
+    only when neither rewired edge carries a cycle of length <= g afterwards.
+    When even that stalls, the engine stops and reports honestly.  More than
+    10 swaps per point (plus 1000) is a runaway search and raises.
     """
     npts = len(points)
     max_swaps = 10 * npts + 1000
@@ -243,10 +243,10 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
                                slot_parent[slots[j]])
         slots[i], slots[j] = slots[j], slots[i]
 
-    def far_from(x, radius):
-        # indices of the points more than ``radius`` hops from x
-        return np.nonzero(_hop_distances(state.indptr, state.indices, [x],
-                                         radius)[points] < 0)[0]
+    def clear(i, g):
+        # no cycle of length <= g through point i's movable edge
+        return _cycle_through_edge(state.lists, int(points[i]),
+                                   int(slot_parent[slots[i]]), g) > g
 
     while True:
         parents = slot_parent[slots]
@@ -254,47 +254,36 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
         g = int(c.min())
         if g >= target:
             return _EngineResult(swaps, False)
-        moved = False
+        before = swaps
         for i in np.nonzero(c == g)[0]:
-            x = int(points[i])
-            if _cycle_through_edge(state.lists, x, int(slot_parent[slots[i]]),
-                                   g) > g:
+            if clear(i, g):
                 continue  # an earlier swap in this pass already fixed it
-            # far partner: nothing within distance target-1 of x
-            far = far_from(x, target - 1)
-            if far.size:
-                do_swap(i, int(far[0]))
-                swaps += 1
-                moved = True
-            elif g < guaranteed:
-                # the path-count bound promises a partner beyond the
-                # guaranteed radius; a swap with it creates nothing <= g
-                far = far_from(x, guaranteed - 2)
+            # far partner: nothing within distance target-1 of points[i]
+            dist = _hop_distances(state.indptr, state.indices, [points[i]],
+                                  target - 1)[points]
+            far = np.nonzero(dist < 0)[0]
+            if not far.size and g < guaranteed:
+                # guaranteed-2 < target-1, so the capped distances see past it
+                far = np.nonzero(dist > guaranteed - 2)[0]
                 if not far.size:
                     raise ConstructionError(
                         f"no partner beyond distance {guaranteed - 2} at "
                         f"level {g}: path-count bound violated")
+            if far.size:
                 do_swap(i, int(far[0]))
                 swaps += 1
-                moved = True
             else:
                 for j in range(npts):
                     if j == i or slot_parent[slots[j]] == slot_parent[slots[i]]:
                         continue
                     do_swap(i, j)
-                    ok_i = _cycle_through_edge(
-                        state.lists, x, int(slot_parent[slots[i]]), g) > g
-                    ok_j = ok_i and _cycle_through_edge(
-                        state.lists, int(points[j]),
-                        int(slot_parent[slots[j]]), g) > g
-                    if ok_j:
+                    if clear(i, g) and clear(j, g):
                         swaps += 1
-                        moved = True
                         break
                     do_swap(i, j)  # revert; the exchange is an involution
             if swaps > max_swaps:
                 raise ConstructionError("swap budget exhausted; not terminating")
-        if not moved:
+        if swaps == before:
             return _EngineResult(swaps, True)
 
 
@@ -367,10 +356,9 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     guaranteed = guaranteed_girth(d, n)
     res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
                      guaranteed)
-    girth = int(_batched_cycle_scan(state, points, t2p[slots],
-                                    4 * depth + 2).min())
-    if girth < guaranteed:
+    glued = state.to_graph()
+    achieved = girth(glued)
+    if achieved < guaranteed:
         raise ConstructionError(
-            f"pairing girth {girth} below guaranteed {guaranteed}")
-    return Pairing(d, depth, slots, state.to_graph(), girth, res.swaps,
-                   seed)
+            f"pairing girth {achieved} below guaranteed {guaranteed}")
+    return Pairing(d, depth, slots, glued, achieved, res.swaps, seed)

@@ -5,8 +5,8 @@ import pytest
 from scargraph.base import (LpsParams, generator_matrices, legendre_symbol,
                             load_graph, lps_graph, quaternion_generators,
                             validate_base)
-from scargraph.graphs import girth, is_bipartite, is_connected, is_regular, \
-    save_edge_list
+from scargraph.graphs import MAX_VERTICES, girth, is_bipartite, \
+    is_connected, is_regular, save_edge_list
 from scargraph.named import cycle_graph
 
 
@@ -38,6 +38,23 @@ class TestNumberTheory:
             LpsParams(5, 5)        # p = q
         with pytest.raises(ValueError):
             LpsParams(101, 13)     # q <= 2 sqrt(p)
+
+    def test_vertex_count_bounded_before_enumeration(self):
+        # 509 is the largest prime = 1 mod 4 whose PSL(2, q) fits
+        assert 509 * (509 ** 2 - 1) // 2 <= MAX_VERTICES
+        assert LpsParams(5, 509).legendre in (-1, 1)
+        with pytest.raises(ValueError,
+                           match=f"gives 70710120 vertices > {MAX_VERTICES}"):
+            LpsParams(5, 521)
+        with pytest.raises(ValueError, match=f"> {MAX_VERTICES}"):
+            lps_graph(5, 521)
+
+    def test_huge_p_or_q_rejected_before_trial_division(self):
+        # the prime 2^61 - 1 would cost about 7.6e8 trial divisions
+        with pytest.raises(ValueError, match="vertices"):
+            LpsParams(5, 2 ** 61 - 1)
+        with pytest.raises(ValueError, match="q > 2 sqrt"):
+            LpsParams(2 ** 61 - 1, 29)
 
 
 class TestLpsGraph:

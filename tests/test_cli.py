@@ -452,3 +452,26 @@ class TestOversizedHeader:
         assert proc.returncode == 2
         assert "line 1: n must be at most" in proc.stderr
         assert "Traceback" not in proc.stderr
+
+
+class TestOversizedLps:
+    """An LPS(p, q) with more than graphs.MAX_VERTICES vertices exits 2
+    with a message, before PSL(2, q) is enumerated and with no output."""
+
+    def test_exit_two_in_process(self, tmp_path, capsys):
+        out = tmp_path / "big.edges"
+        code = main(["base", "lps", "--p", "5", "--q", "521",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"gives 70710120 vertices > {MAX_VERTICES}" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_construct_exit_two(self, tmp_path, capsys):
+        code = main(["construct", "--lps", "5", "521", "--d", "5", "--r", "1",
+                     "--out", str(tmp_path / "g.edges"),
+                     "--cert", str(tmp_path / "c.json")])
+        assert code == 2
+        assert f"> {MAX_VERTICES}" in capsys.readouterr().err
+        assert not list(tmp_path.iterdir())

@@ -10,10 +10,12 @@ from hypothesis import strategies as st
 
 from scargraph.certificate import girth_required
 from scargraph.graphs import build_graph, girth
-from scargraph.pairing import (_SwapState, _batched_cycle_scan,
-                               _cycle_through_edge, guaranteed_girth,
-                               pair_trees, path_count_cumulative,
-                               path_count_exact, path_count_total)
+from scargraph.pairing import (_SwapState, _attach_tree, _batched_cycle_scan,
+                               _cycle_through_edge, _run_swaps,
+                               guaranteed_girth, pair_trees,
+                               path_count_cumulative, path_count_exact,
+                               path_count_total)
+from scargraph.trees import tree_layout
 
 
 class TestPathCountFormulas:
@@ -177,6 +179,31 @@ class TestPairTrees:
     def test_golden_digest(self, d, D, seed, digest):
         text = pair_trees(d, D, seed=seed).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+class TestPathCountFallback:
+    """With a target no far partner can meet, _run_swaps takes the
+    guaranteed-radius partners up to the guaranteed level and then the
+    try-every-partner fallback, until a pass makes no swap."""
+
+    @pytest.mark.parametrize("d,D,swaps", [
+        (2, 5, [23, 18, 27]), (3, 3, [16, 13, 12]), (4, 3, [29, 32, 44])])
+    def test_stalls_above_guaranteed(self, d, D, swaps):
+        got = []
+        for seed in range(3):
+            # the state pair_trees builds: T1, then T2 joined to T1's leaves
+            levels, parent = tree_layout(d, D)
+            points = levels[-1]
+            t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
+            t2, slots, t2p, _, total = _attach_tree(
+                d, D, points, len(parent) + 1, np.random.default_rng(seed))
+            state = _SwapState(total, np.concatenate([t1, t2]))
+            guaranteed = guaranteed_girth(d, len(points))
+            res = _run_swaps(state, points, slots, t2p, 100, guaranteed)
+            assert res.stalled
+            assert girth(state.to_graph()) >= guaranteed
+            got.append(res.swaps)
+        assert got == swaps
 
 
 @st.composite

@@ -156,7 +156,7 @@ class TestGreedyPacking:
         for a, b in itertools.combinations(picks.tolist(), 2):
             assert dist_maps[a][b] >= 3
 
-    @pytest.mark.parametrize("min_dist", [3, 5])
+    @pytest.mark.parametrize("min_dist", [3, 5, 9])
     def test_pairwise_distance_on_lps(self, lps_h, min_dist):
         picks = greedy_packing(lps_h, min_dist)
         chosen = np.zeros(lps_h.n, dtype=bool)
@@ -190,9 +190,10 @@ class TestGreedyPacking:
         dist = dict(nx.all_pairs_shortest_path_length(G))
         for a, b in itertools.combinations(picks, 2):
             assert dist[a].get(b, math.inf) >= min_dist
-        for v in range(n):
+        # first fit: each unpicked vertex is near a pick made before it
+        for v in set(range(n)) - set(picks):
             assert any(dist[v].get(p, math.inf) <= min_dist - 1
-                       for p in picks), v
+                       for p in picks if p < v), v
 
 
 class TestOddLevelWitness:
