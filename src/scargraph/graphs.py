@@ -26,7 +26,11 @@ as sparse integer matrices: ``P_1 = A[S]``, ``P_2 = P_1 A - P_0 D`` and
 non-backtracking walks of length k from s to each vertex and D is the
 degree matrix.  Up to the first cycle near s these counts are the BFS
 spheres around s, so a whole chunk of per-vertex searches costs a few
-sparse products per level instead of a Python loop per edge.
+sparse products per level instead of a Python loop per edge.  ``girth``
+deletes each searched chunk of sources from the graph later chunks walk
+(Itai and Rodeh, 1978), which stays exact: every cycle through a searched
+source is longer than the caps after its search.  ``bs_cycle_fraction``
+deletes nothing.
 """
 
 from __future__ import annotations
@@ -261,27 +265,32 @@ def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
     most 2R+1 iff the radius-R ball around s contains a cycle.  Counts stay
     0/1 until the level where a source stops, so int32 cannot overflow.
 
-    Sources run in chunks sized from ``_CHUNK_ENTRIES``.  With ``shrink``
-    the cap drops to one below the shortest length found, after every level,
-    so later sources only look for shorter cycles and only the minimum of
-    the result is meaningful.
+    Sources run in chunks, in id order, sized from ``_CHUNK_ENTRIES``.  With
+    ``shrink`` the cap drops to one below the shortest length found, after
+    every level, and each finished chunk's sources are deleted, so later
+    chunks walk the graph induced on the rest, with its degrees in ``D``.
+    Every cycle through a searched s is at least value(s), which exceeds
+    the next cap, or longer than the cap then in force; the cap only falls,
+    so no cycle later sources still look for passes through s, and any
+    adjacency between the rest and G keeps the minimum exact.  Only the
+    minimum of the result is then meaningful.
     """
     n = g.n
     lengths = np.zeros(n, dtype=np.int64)
-    deg = g.degrees().astype(np.int32)
     adj = sp.csr_matrix(
         (np.ones(len(g.indices), dtype=np.int32), g.indices, g.indptr),
         shape=(n, n))
-    max_degree = int(deg.max(initial=0))
-    start = 0
+    base = start = 0        # adj is the graph induced on ids base..n-1
     while start < n:
-        size = max(1, _CHUNK_ENTRIES // _widest_sphere(n, max_degree, cap))
+        deg = np.diff(adj.indptr).astype(np.int32)
+        size = max(1, _CHUNK_ENTRIES // _widest_sphere(
+            n - base, int(deg.max(initial=0)), cap))
         rows = np.arange(start, min(n, start + size))
         start = rows[-1] + 1
         prev = sp.csr_matrix(
-            (np.ones(len(rows), dtype=np.int32), rows,
-             np.arange(len(rows) + 1)), shape=(len(rows), n))
-        cur = adj[rows]
+            (np.ones(len(rows), dtype=np.int32), rows - base,
+             np.arange(len(rows) + 1)), shape=(len(rows), n - base))
+        cur = adj[rows - base]
         k = 1
         while cur.nnz and 2 * k + 1 <= cap:
             back = prev.copy()
@@ -302,6 +311,9 @@ def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
             if len(keep) < len(rows):
                 prev, cur, rows = prev[keep], cur[keep], rows[keep]
             k += 1
+        if shrink:
+            adj = adj[start - base:, start - base:]
+            base = start
     return lengths
 
 
@@ -310,9 +322,10 @@ def girth(g: Graph):
 
     The minimum over all sources of the first cycle length the
     non-backtracking path counts reveal (see :func:`_first_cycle_lengths`),
-    which for s on a shortest cycle is that cycle's length.  Once a cycle
-    is found, later sources stop one level before they could only match
-    it, so the searches grow shallower as the bound tightens.
+    which for the first-searched vertex of a shortest cycle is that cycle's
+    length.  Once a cycle is found, later sources stop one level before
+    they could only match it, and they walk the graph without the searched
+    sources, so the searches grow shallower and narrower as they go.
     """
     lengths = _first_cycle_lengths(g, INFINITE_GIRTH, shrink=True)
     found = lengths[lengths > 0]

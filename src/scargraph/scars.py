@@ -103,8 +103,9 @@ def carve_site(h: Graph, u: int, r: int) -> ScarSite:
     return ScarSite(u, r, d, t1_levels, leaves, partners, matching)
 
 
-def greedy_packing(g: Graph, min_dist: int) -> np.ndarray:
-    """Greedy maximal set of vertices at pairwise distance >= min_dist.
+def greedy_packing(g: Graph, min_dist: int, limit=None) -> np.ndarray:
+    """Greedy maximal set of vertices at pairwise distance >= min_dist, or
+    its first ``limit`` picks.
 
     First fit over vertex ids: each pick covers its radius-(min_dist-1)
     ball, found by one graphs._hop_distances call, and the next pick is the
@@ -119,7 +120,7 @@ def greedy_packing(g: Graph, min_dist: int) -> np.ndarray:
     free = np.ones(g.n, dtype=bool)
     picks = []
     v = 0
-    while v < g.n and free[v]:
+    while v < g.n and free[v] and len(picks) != limit:
         picks.append(v)
         free &= _hop_distances(g.indptr, g.indices, [v], min_dist - 1) < 0
         v += int(np.argmax(free[v:]))
@@ -221,12 +222,13 @@ def multi_glue(h: Graph, k_sites: int, r: int, seed: int = 0) -> ScarredGraph:
         raise ValueError("base graph must be (d+1)-regular with d >= 2")
     if k_sites == 0:
         return ScarredGraph(h, h.n, deg - 1, r, [], seed, [seed], None)
-    roots = greedy_packing(h, 4 * r + 1)
+    # a packing that stops short of k_sites is the whole maximal packing
+    roots = greedy_packing(h, 4 * r + 1, k_sites)
     if len(roots) < k_sites:
         raise ConstructionError(
             f"insufficient packing: {len(roots)} roots at pairwise distance"
             f" >= {4 * r + 1}, need {k_sites}")
-    sites = [carve_site(h, int(u), r) for u in roots[:k_sites]]
+    sites = [carve_site(h, int(u), r) for u in roots]
     return glue(h, sites, seed)
 
 

@@ -283,6 +283,69 @@ class TestBsCycleFraction:
         assert bs_cycle_fraction(g, radius) == expected
 
 
+def girth_in_small_chunks(g, entries):
+    """girth(g) and nx.girth with chunks of at most ``entries`` path-count
+    entries, so nearly every chunk deletes its sources before the next."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_CHUNK_ENTRIES", entries)
+        return girth(g), nx.girth(to_networkx(g))
+
+
+class TestGirthDeletingSources:
+    """girth drops each chunk's sources once they are searched; tiny chunk
+    budgets make every search after the first run on a smaller graph."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(small_graphs(), st.sampled_from([1, 2, 8, 64]))
+    def test_matches_networkx(self, g, entries):
+        got, expected = girth_in_small_chunks(g, entries)
+        assert got == expected
+
+    def test_shortest_cycle_spread_over_chunks(self):
+        # vertex 0 lies only on a 7-cycle, which lowers the cap to 6 first;
+        # the 5-cycle 1-3-5-7-9 has one vertex per chunk, and the deleted
+        # vertex 0 hangs off it by the path 0-2-1
+        seven = [0, 10, 11, 12, 13, 14, 15]
+        five = [1, 3, 5, 7, 9]
+        edges = [(c[i], c[i - 1]) for c in (seven, five) for i in range(len(c))]
+        g = build_graph(16, edges + [(0, 2), (1, 2), (4, 3), (6, 5), (8, 7)])
+        for entries in (1, 2, 3):
+            assert girth_in_small_chunks(g, entries) == (5, 5)
+
+    def test_short_cycle_on_the_last_ids(self):
+        n = 30
+        g = build_graph(n + 3, [(v, (v + 1) % n) for v in range(n)]
+                        + [(n, n + 1), (n + 1, n + 2), (n, n + 2), (0, n)])
+        for entries in (1, 4, 16):
+            assert girth_in_small_chunks(g, entries) == (3, 3)
+
+    def test_forest(self):
+        rng = np.random.default_rng(5)
+        parents = [int(rng.integers(-1, v)) for v in range(1, 40)]
+        g = build_graph(40, [(p, v + 1) for v, p in enumerate(parents)
+                             if p >= 0])
+        assert girth_in_small_chunks(g, 1) == (INF, INF)
+        assert girth_in_small_chunks(path_graph(25), 3) == (INF, INF)
+
+    def test_disconnected(self):
+        # a 9-cycle on the low ids, isolated vertices, a 6-cycle on the high
+        g = build_graph(20, [(v, (v + 1) % 9) for v in range(9)]
+                        + [(14 + v, 14 + (v + 1) % 6) for v in range(6)])
+        for entries in (1, 5, 64):
+            assert girth_in_small_chunks(g, entries) == (6, 6)
+
+    @settings(max_examples=200, deadline=None)
+    @given(small_graphs(), st.integers(0, 4), st.sampled_from([1, 8]))
+    def test_ball_fraction_deletes_nothing(self, g, radius, entries):
+        # bs_cycle_fraction needs every per-source length, so under the
+        # same tiny budget it still matches one ball per vertex
+        count = sum(not ball(g, v, radius).is_tree for v in range(g.n))
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(graphs, "_CHUNK_ENTRIES", entries)
+            got = bs_cycle_fraction(g, radius)
+        assert got == (Fraction(count, g.n) if g.n else 0)
+
+
 class TestDistances:
     def test_adjacent_vertices_differ_by_at_most_one(self):
         rng = np.random.default_rng(17)

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from scargraph import scars
 from scargraph.graphs import (ConstructionError, bfs_distances, girth,
                               is_regular, vertex_expansion)
 from scargraph.named import (cycle_graph, petersen_graph,
@@ -117,6 +118,30 @@ class TestMultiGlue:
         with pytest.raises(ConstructionError, match="packing"):
             multi_glue(mcgee, 2, 1, seed=1)
 
+    def test_short_packing_reports_its_full_size(self, mcgee, cubic6):
+        # a packing that comes up short has run to exhaustion
+        for h, k in ((mcgee, 2), (cubic6, 50)):
+            full = len(greedy_packing(h, 5))
+            assert 0 < full < k
+            with pytest.raises(ConstructionError,
+                               match=f"insufficient packing: {full} roots"):
+                multi_glue(h, k, 1, seed=1)
+
+    def test_packing_stops_at_the_site_count(self, cubic6, monkeypatch):
+        # roots are the first picks of the maximal packing, and no more
+        # picks are made than sites are glued
+        picked = []
+
+        def recording(*args):
+            picked.append(greedy_packing(*args))
+            return picked[-1]
+
+        monkeypatch.setattr(scars, "greedy_packing", recording)
+        sg = multi_glue(cubic6, 2, 1, seed=2)
+        full = greedy_packing(cubic6, 5)
+        assert len(full) > 2 and [len(p) for p in picked] == [2]
+        assert [s.root for s in sg.sites] == full[:2].tolist()
+
     def test_two_sites_orthogonal_disjoint(self, cubic6_sg2):
         nus = [localized_eigenvector(cubic6_sg2, i, 0.0) for i in range(2)]
         supports = [set(np.nonzero(np.abs(nu) > 1e-12)[0].tolist())
@@ -176,6 +201,13 @@ class TestGreedyPacking:
     def test_irregular_rejected(self):
         with pytest.raises(ValueError):
             greedy_packing(star_graph(3), 2)
+
+    @pytest.mark.parametrize("min_dist", [3, 5, 9])
+    def test_limit_keeps_the_first_picks(self, lps_h, min_dist):
+        full = greedy_packing(lps_h, min_dist)
+        for limit in (0, 1, 2, len(full) - 1, len(full), len(full) + 5):
+            assert (greedy_packing(lps_h, min_dist, limit).tolist()
+                    == full[:limit].tolist())
 
     @settings(max_examples=60, deadline=None)
     @given(st.integers(3, 20), st.integers(2, 4), st.integers(0, 2 ** 31),
