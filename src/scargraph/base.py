@@ -179,7 +179,7 @@ class BaseReport:
     girth: float
     lambda2_abs: float
     ramanujan_ok: bool
-    girth_ok_for_r: int          # largest radius the measured girth admits
+    girth_ok_for_r: int | None   # largest radius the girth admits; None if acyclic
     checks: dict
 
     @property
@@ -206,9 +206,8 @@ def validate_base(g: Graph, d: int, r: int) -> BaseReport:
     lam2 = summary.lambda2_abs if summary else math.inf
     bip = is_bipartite(g)
     ram_ok = lam2 <= 2.0 * math.sqrt(d) + RAMANUJAN_TOL
-    rmax = 0
-    while gv > max(4 * (rmax + 1), 2 * (rmax + 2) + 1):
-        rmax += 1
+    # the largest r with girth > max(4r, 2(r+1)+1); a forest admits any r
+    rmax = None if gv == math.inf else (gv - 1) // 4 if gv > 5 else 0
     checks = {
         "regular_d_plus_1": deg == d + 1,
         "connected": summary is not None,

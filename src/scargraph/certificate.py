@@ -168,8 +168,7 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
     localized = []
     checks = {
         "regular": is_regular(g) == d + 1,
-        "vertex_count": M == m + sum(len(s.v1) + len(s.v2) for s in sg.sites)
-        if k else M == m,
+        "vertex_count": M == m + sum(len(s.v1) + len(s.v2) for s in sg.sites),
     }
     if k:
         spec = radial_spectrum(d, r - 1)

@@ -379,7 +379,7 @@ def ball(g: Graph, v: int, radius: int) -> Ball:
     dm = bfs_distances(g, v, cap=radius)
     layers = [np.sort(np.nonzero(dm.dist == r)[0]) for r in range(radius + 1)]
     layers = [lay for lay in layers if len(lay)]
-    verts = np.concatenate(layers) if layers else np.array([v], dtype=np.int64)
+    verts = np.concatenate(layers)
     # the ball's rows in local ids; an outside end is -1, so src < dst keeps
     # each inside edge once
     local = np.full(g.n, -1, dtype=np.int64)

@@ -21,8 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import ConstructionError, Graph, _hop_distances, build_graph, girth
-from .trees import tree_layout
+from .graphs import (MAX_VERTICES, ConstructionError, Graph, _hop_distances,
+                     build_graph, girth)
+from .trees import interior_size, tree_layout, tree_size
 
 _BIG = 10 ** 9
 
@@ -344,6 +345,11 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
         raise ValueError("branching d must be at least 2")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    # levels at least double, so a depth of MAX_VERTICES' bit length never fits
+    if depth >= MAX_VERTICES.bit_length() or \
+            tree_size(d, depth) + interior_size(d, depth) > MAX_VERTICES:
+        raise ValueError(f"d = {d}, depth = {depth} glues more than "
+                         f"{MAX_VERTICES} vertices")
     # T1 in level order; its leaves are the identified points
     levels, parent = tree_layout(d, depth)
     points = levels[-1]

@@ -14,14 +14,14 @@ eigenvalues with multiplicity.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .graphs import (ConstructionError, Graph, _hop_distances, _neighbours,
                      ball, bfs_distances, girth, is_regular)
-from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_target,
-                      guaranteed_girth)
+from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_required,
+                      girth_target)
 from .spectral import residual
 from .trees import interior_size, radial_spectrum, tree_size
 
@@ -143,14 +143,11 @@ def glue(h: Graph, sites, seed: int = 0) -> ScarredGraph:
     carved leaves) and T3 (onto the matched partners), choosing both leaf
     bijections by the girth-improving swap loop run on the growing ambient
     graph.  The final girth is measured and must reach the pairing bound;
-    unlucky seeds are retried."""
+    unlucky seeds are retried.  Zero sites is multi_glue(h, 0, r)."""
     sites = list(sites)
     if not sites:
-        deg = is_regular(h)
-        return ScarredGraph(h, h.n, deg - 1 if deg else 0, 0, [], seed,
-                            [seed], None)
-    r = sites[0].r
-    d = sites[0].d
+        raise ValueError("glue needs at least one site")
+    r, d = sites[0].r, sites[0].d
     if any(s.r != r or s.d != d for s in sites):
         raise ValueError("all sites must share the same d and r")
     _check_site_separation(h, sites, r)
@@ -160,7 +157,6 @@ def glue(h: Graph, sites, seed: int = 0) -> ScarredGraph:
         try:
             sg = _glue_once(h, sites, d, r, attempt_seed)
             sg.seed = seed
-            sg.seeds_used = [attempt_seed]
             return sg
         except ConstructionError as exc:
             last_error = exc
@@ -187,14 +183,11 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
             d, r, s.partners, next_id, rng)
         parts += [t2, t3]
         plans.append((s, slots2, t2sp, slots3, t3sp))
-        out_sites.append(ScarSite(s.root, r, d, s.t1_levels, s.leaves,
-                                  s.partners, s.removed_matching,
-                                  t2_levels, t3_levels))
+        out_sites.append(replace(s, t2_levels=t2_levels, t3_levels=t3_levels))
 
     state = _SwapState(next_id, np.concatenate(parts))
-    nleaves = (d + 1) * d ** (r - 1)
-    target = girth_target(d, nleaves)
-    guaranteed = guaranteed_girth(d, nleaves)
+    target = girth_target(d, (d + 1) * d ** (r - 1))
+    guaranteed = girth_required(d, r)
     for s, slots2, t2sp, slots3, t3sp in plans:
         _run_swaps(state, s.leaves, slots2, t2sp, target, guaranteed)
         # T3: no counting guarantee through the ambient graph, so pure
@@ -202,8 +195,7 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
         _run_swaps(state, s.partners, slots3, t3sp, target, 0)
 
     g = state.to_graph()
-    deg = is_regular(g)
-    if deg != d + 1:
+    if is_regular(g) != d + 1:
         raise ConstructionError("glued graph is not (d+1)-regular")
     measured = girth(g)
     if measured < guaranteed:

@@ -89,8 +89,6 @@ def quotient_matrix(d: int, depth: int) -> np.ndarray:
 
 def _symmetrized_offdiag(d: int, depth: int) -> np.ndarray:
     # conjugating by diag(sqrt(level size)) makes the quotient symmetric
-    if depth == 0:
-        return np.zeros(0)
     return np.array([np.sqrt(d + 1)] + [np.sqrt(d)] * (depth - 1))
 
 

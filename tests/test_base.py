@@ -1,13 +1,15 @@
+import json
 import math
 
 import pytest
 
+from scargraph import base
 from scargraph.base import (LpsParams, generator_matrices, legendre_symbol,
                             load_graph, lps_graph, quaternion_generators,
                             validate_base)
 from scargraph.graphs import MAX_VERTICES, girth, is_bipartite, \
     is_connected, is_regular, save_edge_list
-from scargraph.named import cycle_graph
+from scargraph.named import cycle_graph, path_graph
 
 
 class TestNumberTheory:
@@ -125,6 +127,22 @@ class TestValidateBase:
         report = validate_base(mcgee, 2, 1)
         data = json.loads(report.to_json())
         assert data["girth"] == 7 and data["degree"] == 3
+
+    def test_radius_closed_form_matches_the_search(self, mcgee, monkeypatch):
+        # the largest r with girth > max(4r, 2(r+1)+1), found by counting up
+        for g in range(201):
+            rmax = 0
+            while g > max(4 * (rmax + 1), 2 * (rmax + 2) + 1):
+                rmax += 1
+            monkeypatch.setattr(base, "girth", lambda _, g=g: g)
+            assert validate_base(mcgee, 2, 1).girth_ok_for_r == rmax, g
+
+    def test_forest_admits_every_radius(self):
+        report = validate_base(path_graph(3), 1, 1)
+        assert report.girth == math.inf and report.girth_ok_for_r is None
+        data = json.loads(report.to_json())
+        assert data["girth"] is None and data["girth_ok_for_r"] is None
+        assert not report.checks["regular_d_plus_1"]
 
 
 class TestLoadGraph:

@@ -9,7 +9,7 @@ from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
 from scargraph.cli import (QE_MAX_VERTICES, RunConfig, main, qe_rows,
                            run_pipeline)
-from scargraph.graphs import MAX_VERTICES, save_edge_list
+from scargraph.graphs import MAX_VERTICES, ConstructionError, save_edge_list
 from scargraph.named import cycle_graph, mcgee_graph
 from scargraph.qe import min_support_for_mass, scarring_witness
 from scargraph.scars import multi_glue
@@ -50,6 +50,69 @@ class TestRunPipeline:
             data["created_utc"] = ""
             certs.append(json.dumps(data, sort_keys=True))
         assert certs[0] == certs[1]
+
+    def test_base_validation_failure(self, mcgee_file, tmp_path, capsys):
+        # McGee has girth 7 <= 4r = 8 at r = 2
+        with pytest.raises(ConstructionError, match="girth_exceeds_4r"):
+            run_pipeline(RunConfig(d=2, r=2, sites=1, seed=0,
+                                   base_file=mcgee_file))
+        code = main(["construct", "--base", mcgee_file, "--d", "2", "--r", "2",
+                     "--out", str(tmp_path / "g.edges"),
+                     "--cert", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "base validation failed: girth_exceeds_4r" in err
+        assert not (tmp_path / "g.edges").exists()
+        assert not (tmp_path / "c.json").exists()
+
+    def test_zero_sites_certificate_verifies(self, mcgee_file, tmp_path,
+                                             capsys):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        assert main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+                     "--sites", "0", "--out", gpath, "--cert", cpath]) == 0
+        data = json.loads(open(cpath).read())
+        assert data["k"] == 0 and data["M"] == data["m"] == 24
+        assert data["r"] == 1 and not data["localized"]
+        assert main(["verify", "--graph", gpath, "--cert", cpath]) == 0
+
+
+def run_cli(*args):
+    """``python -m scargraph.cli args`` in a subprocess, killed after 60 s."""
+    import os
+    import subprocess
+    import sys
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
+    return subprocess.run([sys.executable, "-m", "scargraph.cli", *args],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
+class TestForestBase:
+    """A base without cycles is reported and refused; it used to hang
+    while validate_base searched for the largest carving radius."""
+
+    def test_validate_path_reports_null_radius(self, tmp_path):
+        path = tmp_path / "path.edges"
+        path.write_text("3 2\n0 1\n1 2\n")
+        proc = run_cli("base", "validate", "--graph", str(path),
+                       "--d", "1", "--r", "1")
+        assert proc.returncode == 1
+        data = json.loads(proc.stdout)
+        assert data["girth"] is None and data["girth_ok_for_r"] is None
+        assert '"girth_ok_for_r": null' in proc.stdout
+        assert "Traceback" not in proc.stderr
+
+    def test_construct_on_edgeless_base_fails(self, tmp_path):
+        path = tmp_path / "empty.edges"
+        path.write_text("4 0\n")
+        proc = run_cli("construct", "--base", str(path), "--d", "2",
+                       "--r", "1", "--out", str(tmp_path / "g.edges"),
+                       "--cert", str(tmp_path / "c.json"))
+        assert proc.returncode == 1
+        assert ("base validation failed: regular_d_plus_1, connected"
+                in proc.stderr)
+        assert "Traceback" not in proc.stderr
 
 
 class TestSubcommands:
@@ -475,3 +538,25 @@ class TestOversizedLps:
         assert code == 2
         assert f"> {MAX_VERTICES}" in capsys.readouterr().err
         assert not list(tmp_path.iterdir())
+
+
+class TestOversizedPair:
+    """A glued tree pair above graphs.MAX_VERTICES exits 2 naming the bound,
+    before any id array is made and with no output."""
+
+    def test_exit_two_in_process(self, tmp_path, capsys):
+        out = tmp_path / "big.json"
+        code = main(["pair", "--d", "2", "--depth", "40", "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert f"glues more than {MAX_VERTICES} vertices" in err
+        assert "Traceback" not in err
+        assert not out.exists()
+
+    def test_subprocess_has_no_traceback(self, tmp_path):
+        out = tmp_path / "big.json"
+        proc = run_cli("pair", "--d", "2", "--depth", "40", "--out", str(out))
+        assert proc.returncode == 2
+        assert f"more than {MAX_VERTICES}" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert not out.exists()

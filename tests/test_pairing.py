@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from scargraph.certificate import girth_required
-from scargraph.graphs import build_graph, girth
+from scargraph.graphs import MAX_VERTICES, build_graph, girth
 from scargraph.pairing import (_SwapState, _attach_tree, _batched_cycle_scan,
                                _cycle_through_edge, _run_swaps,
                                guaranteed_girth, pair_trees,
@@ -158,6 +158,13 @@ class TestPairTrees:
             pair_trees(1, 3)
         with pytest.raises(ValueError):
             pair_trees(2, 0)
+
+    @pytest.mark.parametrize("d,depth", [(2, 24), (2, 40), (2, 10 ** 9),
+                                         (100, 5), (10 ** 9, 2)])
+    def test_oversized_glued_tree_rejected(self, d, depth):
+        # refused before any id array is laid out
+        with pytest.raises(ValueError, match=f"more than {MAX_VERTICES}"):
+            pair_trees(d, depth)
 
 
     # SHA-256 of to_json(), recorded with the earlier sparse-product cycle

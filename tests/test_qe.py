@@ -67,6 +67,15 @@ class TestQeAverage:
         with pytest.raises(ValueError, match="zero mean"):
             qe_average(vecs, np.array([1.0, 1.0, 0.0, 0.0]))
 
+    def test_orthonormality_checked_on_every_column(self):
+        # one bad column among more than the 64 a sample would look at
+        basis = np.eye(1100)
+        basis[:, 1000] *= 1.5
+        a = np.zeros(1100)
+        with pytest.raises(ValueError, match="not orthonormal"):
+            qe_average(basis, a)
+        assert qe_average(np.eye(1100), a) == 0.0
+
     def test_sup_norm_required(self):
         w, vecs = eigh(cycle_graph(4).csr().toarray())
         with pytest.raises(ValueError, match="sup norm"):

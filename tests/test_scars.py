@@ -71,6 +71,35 @@ class TestGlue:
     def test_glued_graph_girth_recorded(self, lps_sg):
         assert lps_sg.girth == girth(lps_sg.graph)
 
+    def test_no_sites_rejected(self, mcgee):
+        # zero sites is multi_glue(h, 0, r), which keeps r
+        with pytest.raises(ValueError, match="at least one site"):
+            glue(mcgee, [])
+
+    def test_retry_takes_the_next_seed(self, mcgee, monkeypatch):
+        real, seeds = scars._glue_once, []
+
+        def failing_first(h, sites, d, r, seed):
+            seeds.append(seed)
+            if len(seeds) == 1:
+                raise ConstructionError("unlucky seed")
+            return real(h, sites, d, r, seed)
+
+        monkeypatch.setattr(scars, "_glue_once", failing_first)
+        sg = glue(mcgee, [carve_site(mcgee, 0, 1)], seed=7)
+        assert seeds == [7, 7 + 1000003]
+        assert sg.seeds_used == [7 + 1000003] and sg.seed == 7
+        assert is_regular(sg.graph) == 3 and sg.girth == girth(sg.graph)
+
+    def test_every_seed_failing_is_reported(self, mcgee, monkeypatch):
+        def failing(h, sites, d, r, seed):
+            raise ConstructionError(f"unlucky seed {seed}")
+
+        monkeypatch.setattr(scars, "_glue_once", failing)
+        with pytest.raises(ConstructionError,
+                           match="after 3 seeds: unlucky seed 2000013"):
+            glue(mcgee, [carve_site(mcgee, 0, 1)], seed=7)
+
 
 class TestLocalizedEigenvector:
     def test_r1_explicit_form(self, mcgee_sg):
