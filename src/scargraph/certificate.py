@@ -16,7 +16,7 @@ from .graphs import Graph, girth, is_regular
 from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
 from .scars import ScarredGraph, localized_eigenvector
-from .spectral import extreme_eigenvalues, residual, spectral_threshold
+from .spectral import extreme_eigenvalues, norm2, residual, spectral_threshold
 from .trees import interior_size, radial_spectrum
 
 SCHEMA_VERSION = 1
@@ -325,7 +325,7 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
             ids = rec.support
             nu = np.zeros(g.n)
             nu[ids] = rec.values
-            norm = np.linalg.norm(nu)
+            norm = norm2(nu)
             # a zero vector fails on its norm; residual() would raise
             rinf = residual(g, nu, rec.eigenvalue)[0] if norm else math.inf
             ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL

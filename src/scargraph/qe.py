@@ -10,6 +10,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .scars import ScarSite
+from .spectral import norm2
 
 
 @dataclass
@@ -27,7 +28,7 @@ def scarring_witness(psi, S, M: int | None = None) -> ScarWitness:
         M = len(psi)
     if len(psi) != M:
         raise ValueError("psi must live on all M vertices")
-    norm = np.linalg.norm(psi)
+    norm = norm2(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"psi must be a unit vector, got norm {norm}")
     S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)

@@ -1,7 +1,7 @@
-"""Eigenvalue machinery: extreme eigenvalues of sparse adjacency operators,
-residual certification, the tree quadratic-form bound, the layered growth
-(Kahale-style) checker, and the super-harmonic test-function sequence used
-to bound eigenvector mass near the gluing interface.
+"""Eigenvalue machinery: extreme eigenvalues with certified residuals, the
+tree quadratic-form bound, the Kahale-style layered growth checker and the
+interface test functions.  Long-vector norms and dots use scipy.linalg.blas,
+the OpenBLAS pool ARPACK runs on, not numpy's separately bundled pool.
 """
 
 from __future__ import annotations
@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import eigh
+from scipy.linalg import blas, eigh
 
 from .graphs import (Graph, _hop_distances, _neighbours, is_connected,
                      is_regular)
@@ -48,7 +48,12 @@ def residual(g: Graph, v, lam: float):
     if not np.any(v):
         raise ValueError("vector must be nonzero")
     r = g.csr() @ v - lam * v
-    return float(np.abs(r).max()), float(np.linalg.norm(r))
+    return float(np.abs(r).max()), norm2(r)
+
+
+def norm2(x) -> float:
+    """2-norm of a float vector on scipy's BLAS, the pool ARPACK uses."""
+    return math.sqrt(blas.ddot(x, x)) if len(x) else 0.0
 
 
 def extreme_eigenvalues(g: Graph, how_many: int = 2) -> SpectralSummary:
@@ -129,9 +134,9 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     else:
         w, vv = _lanczos(deflated, n, 1, "LM", v0, tol)
         v2 = vv[:, 0] - vv[:, 0].mean()
-        v2 /= np.linalg.norm(v2)
+        v2 /= norm2(v2)
         lam2 = abs(float(w[0]))
-        lam = float(v2 @ (a @ v2))
+        lam = blas.ddot(v2, a @ v2)
         pairs.append((lam, residual(g, v2, lam)[1]))
     res = max(r for _, r in pairs)
     return SpectralSummary(pairs[0][0], lam2, "iterative", count[0], res,

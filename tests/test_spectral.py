@@ -11,13 +11,14 @@ from scargraph.certificate import (Certificate, build_certificate,
 from scargraph.graphs import build_graph, is_connected, is_regular
 from scargraph.named import (complete_graph, cycle_graph, petersen_graph,
                              random_regular_graph)
+from scargraph.qe import scarring_witness
 from scargraph.scars import interface_quadratic_bound, multi_glue
 from scargraph.spectral import (DENSE_CUTOFF, EigensolverError,
                                 _extreme_dense, _extreme_iterative,
                                 extreme_eigenvalues, kahale_check,
-                                kahale_instance, kahale_sequence, residual,
-                                second_eigenvector, spectral_threshold,
-                                tree_quadratic_bound_check)
+                                kahale_instance, kahale_sequence, norm2,
+                                residual, second_eigenvector,
+                                spectral_threshold, tree_quadratic_bound_check)
 from scargraph.trees import build_dary_tree
 
 
@@ -207,6 +208,17 @@ class TestSingleDeflatedSolve:
         assert digest == ("ff90a5e65e28d776021cd3fe9224cec9"
                           "3f58f572996aa4c63a9dd5ed84e7d99c")
 
+    def test_certificate_digest_above_blas_threading(self, lps_sg_r2):
+        # n = 12194 is above the 10000-element length from which OpenBLAS
+        # splits ddot across threads; recorded with numpy's norm and dot
+        # (numpy 2.4, scipy 1.17), so the scipy.linalg.blas path must not
+        # move a bit of it
+        assert lps_sg_r2.graph.n == 12194
+        cert = build_certificate(lps_sg_r2, timestamp=False)
+        digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
+        assert digest == ("71a1d01e7e2d71c16219097c51f028da"
+                          "33f3e5a74f28ef03297f74a131252823")
+
 
 class TestResidual:
     def test_exact_eigenvectors(self):
@@ -223,6 +235,37 @@ class TestResidual:
     def test_zero_vector_rejected(self):
         with pytest.raises(ValueError):
             residual(cycle_graph(4), np.zeros(4), 0.0)
+
+
+class TestScipyBlasNorm:
+    @pytest.mark.parametrize("n", [9999, 10001, 12194, 34468])
+    def test_bitwise_numpy_norm(self, n):
+        x = np.random.default_rng(n).standard_normal(n)
+        assert norm2(x) == np.linalg.norm(x)
+        assert norm2(x[::2]) == np.linalg.norm(x[::2])
+
+    def test_empty_vector(self):
+        assert norm2(np.zeros(0)) == 0.0
+
+    def test_zero_residual_vector_rejected(self, lps_h):
+        with pytest.raises(ValueError, match="vector must be nonzero"):
+            residual(lps_h, np.zeros(lps_h.n), 0.0)
+
+    def test_non_unit_witness_rejected(self):
+        with pytest.raises(ValueError, match="unit vector"):
+            scarring_witness(np.full(12180, 0.5), [0], 12180)
+
+    def test_pipeline_uses_no_numpy_norm(self, lps_sg_r2, monkeypatch):
+        # a numpy-pool norm on the spectral and certificate path would
+        # wait on threads that ARPACK's pool keeps the cores busy with
+        def banned(*args, **kwargs):
+            raise AssertionError("numpy.linalg.norm on the spectral path")
+
+        monkeypatch.setattr(np.linalg, "norm", banned)
+        g = lps_sg_r2.graph
+        assert extreme_eigenvalues(g, 0).lambda2_vector is not None
+        cert = build_certificate(lps_sg_r2, timestamp=False)
+        assert verify_certificate(g, cert).passed
 
 
 class TestThresholds:
