@@ -14,10 +14,10 @@ the layers around a vertex set, site packing, the swap engine's partner
 search) come from one frontier kernel, :func:`_hop_distances`: a
 level-synchronous BFS from a set of sources over raw CSR arrays that
 gathers a whole level's neighbour lists at once.  The swap engine's two
-cycle searches through a movable edge stay apart on measurement (pairing
-grid, mean per call: ``_cycle_through_edge`` 0.11 ms, ``_hop_distances``
-0.41 ms; a one-edge ``_batched_cycle_scan`` 0.77-1.64 ms on the (4, 5)
-and (4, 6) cells, which make most of those calls).
+cycle searches through a movable edge stay apart on measurement (median
+per call on the shortest-cycle edges of the pairing grid's (4, 5) and
+(4, 6) cells: ``_cycle_through_edge`` 0.12-0.14 ms, ``_hop_distances``
+0.28-0.52 ms, a one-edge ``_batched_cycle_scan`` 0.39-1.03 ms).
 
 Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
 kernel that counts non-backtracking walks for a chunk of sources at once,

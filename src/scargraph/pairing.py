@@ -157,56 +157,80 @@ def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
     return _BIG
 
 
+# 64-bit words of sources per cycle-scan block: each of a block's n x 4
+# bit arrays is 273 KB at n = 8532, so they stay in a 2 MiB L2
+_BLOCK_WORDS = 4
+
+
 def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
                         parents: np.ndarray, cutoff: int) -> np.ndarray:
     """Cycle length through each movable edge (points[i], parents[i]), with
     lengths above ``cutoff`` reported as _BIG.
 
-    One bit-parallel BFS runs from every point at once (Then et al., VLDB
-    2014): source i owns bit i % 64 of word i // 64 in each row of the
-    (n+1) x words ``front`` and ``visited`` arrays, and row n is an
-    all-zero sentinel that the padded neighbour table points at past each
-    vertex's degree.  Step 1 puts source i on the neighbours of points[i]
-    other than parents[i]; each later step ORs the frontier over the
-    table's columns and keeps the bits not yet visited.  The edge
-    (points[i], parents[i]) is never crossed after step 1: points[i] is
-    visited from the start, so bit i never again sits on it, and bit i
-    can cross from parents[i] only after reaching parents[i], which
-    already fixes the answer.  The first time bit i lands on parents[i],
-    at distance t, the cycle has length t + 1.
+    A bit-parallel BFS runs from a block of up to 256 points at once (Then
+    et al., VLDB 2014): source i of the block owns bit i % 64 of word
+    i // 64 in each row of the n x 4 ``front``, ``nxt`` and ``unvisited``
+    arrays, which fit in L2; the blocks run one after another.  Vertices
+    are relabelled by descending degree (a stable sort: the identity on a
+    regular graph), so column c of the neighbour table, padded with n
+    past each degree, is read only over the prefix of rows with degree
+    above c.  Step 1 puts source i on the neighbours of points[i] other
+    than parents[i]; each later step ORs the frontier over the columns
+    into ``nxt``, keeps the bits still in ``unvisited`` and clears them
+    there, and the two frontier buffers swap roles.  The edge (points[i],
+    parents[i]) is never crossed after step 1: points[i] is visited from
+    the start, so bit i never again sits on it, and bit i can cross from
+    parents[i] only after reaching parents[i], which already fixes the
+    answer.  The first time bit i lands on parents[i], at distance t, the
+    cycle has length t + 1.
     """
-    npts = len(points)
+    npts, n, indptr = len(points), state.n, state.indptr
     out = np.full(npts, _BIG, dtype=np.int64)
-    if cutoff < 3:
-        return out
-    n, indptr = state.n, state.indptr
     deg = np.diff(indptr)
-    rows = np.repeat(np.arange(n), deg)
-    table = np.full((n, int(deg.max())), n, dtype=np.int64)
-    table[rows, np.arange(len(rows)) - indptr[rows]] = state.indices
-    src = np.arange(npts)
+    width = int(deg.max(initial=0))
+    if cutoff < 3 or not npts or not width:
+        return out
+    order = np.argsort(-deg, kind="stable")
+    new = np.empty(n, dtype=np.int64)
+    new[order] = np.arange(n)
+    start, cols = indptr[order], []
+    table = np.full((width, n), n, dtype=np.int64)
+    for c in range(width):
+        k = np.count_nonzero(deg > c)
+        table[c, :k] = new[state.indices[start[:k] + c]]
+        cols.append(table[c, :k])
+    pts, pars = new[points], new[parents]
+    block = 64 * min(_BLOCK_WORDS, (npts + 63) // 64)
+    src = np.arange(block)
     word = src // 64
     bit = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
-    front = np.zeros((n + 1, (npts + 63) // 64), dtype=np.uint64)
-    nbrs = table[points]
-    first = (nbrs != n) & (nbrs != parents[:, None])
-    i = np.nonzero(first)[0]
-    np.bitwise_or.at(front, (nbrs[first], word[i]), bit[i])
-    visited = front.copy()
-    np.bitwise_or.at(visited, (points, word), bit)
-    gathered = np.empty_like(front[:n])
-    for dist in range(2, cutoff):
-        nxt = np.zeros_like(front)
-        for col in table.T:
-            np.take(front, col, axis=0, out=gathered)
-            nxt[:n] |= gathered
-        nxt &= ~visited
-        visited |= nxt
-        hit = (out == _BIG) & ((nxt[parents, word] & bit) != 0)
-        out[hit] = dist + 1
-        if (out < _BIG).all() or not nxt.any():
-            break
-        front = nxt
+    front, nxt, unvisited, buf = (
+        np.empty((n, block // 64), dtype=np.uint64) for _ in range(4))
+    for s in range(0, npts, block):
+        p, q, res = pts[s:s + block], pars[s:s + block], out[s:s + block]
+        w, b = word[:len(p)], bit[:len(p)]
+        nbrs = table[:, p].T
+        first = (nbrs != n) & (nbrs != q[:, None])
+        i = np.nonzero(first)[0]
+        front[:] = 0
+        np.bitwise_or.at(front, (nbrs[first], w[i]), b[i])
+        np.invert(front, out=unvisited)
+        np.bitwise_and.at(unvisited, (p, w), ~b)
+        for dist in range(2, cutoff):
+            # mode "clip" writes to out unbuffered; no index is out of range
+            np.take(front, cols[0], axis=0, out=nxt[:len(cols[0])],
+                    mode="clip")
+            nxt[len(cols[0]):] = 0
+            for col in cols[1:]:
+                np.take(front, col, axis=0, out=buf[:len(col)], mode="clip")
+                nxt[:len(col)] |= buf[:len(col)]
+            nxt &= unvisited
+            unvisited ^= nxt
+            hit = (res == _BIG) & ((nxt[q, w] & b) != 0)
+            res[hit] = dist + 1
+            if (res < _BIG).all() or not nxt.any():
+                break
+            front, nxt = nxt, front
     return out
 
 

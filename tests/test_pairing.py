@@ -1,6 +1,7 @@
 import hashlib
 import json
 import math
+import tracemalloc
 from collections import Counter
 
 import numpy as np
@@ -10,9 +11,9 @@ from hypothesis import strategies as st
 
 from scargraph.certificate import girth_required
 from scargraph.graphs import MAX_VERTICES, build_graph, girth
-from scargraph.pairing import (_SwapState, _attach_tree, _batched_cycle_scan,
-                               _cycle_through_edge, _run_swaps,
-                               guaranteed_girth, pair_trees,
+from scargraph.pairing import (_BIG, _SwapState, _attach_tree,
+                               _batched_cycle_scan, _cycle_through_edge,
+                               _run_swaps, guaranteed_girth, pair_trees,
                                path_count_cumulative, path_count_exact,
                                path_count_total)
 from scargraph.trees import tree_layout
@@ -187,6 +188,19 @@ class TestPairTrees:
         text = pair_trees(d, D, seed=seed).to_json()
         assert hashlib.sha256(text.encode()).hexdigest() == digest
 
+    # SHA-256 of to_json() for the (4, 6) cell, recorded before the cycle
+    # scan ran its sources in blocks: its 5120 points span 20 blocks, the
+    # only grid cell with more than five
+    @pytest.mark.parametrize("seed,digest", [
+        (0, "d297847c3206e67bcf9d2593ad85a759"
+            "f05fca94c6a968744a9d39a8ede74504"),
+        (1, "5dd6a8cd5ccc18bdf0463c7c52a5cd92"
+            "44347d51dc4af843c92ca9946fba4a19"),
+    ])
+    def test_golden_digest_many_blocks(self, seed, digest):
+        text = pair_trees(4, 6, seed=seed).to_json()
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
+
 
 class TestPathCountFallback:
     """With a target no far partner can meet, _run_swaps takes the
@@ -247,6 +261,42 @@ def scan_inputs(draw):
             np.array([q for _, q in pairs], dtype=np.int64))
 
 
+@st.composite
+def block_scan_inputs(draw):
+    """Point counts around the 256-source block boundaries on a graph of
+    degrees 0 to 5 that the degree relabelling permutes: a hub, the last
+    vertex, is joined to vertex 0 (degree 1) and vertex 1, the other
+    edges are drawn among degree-capped vertices, and an isolated vertex
+    comes last."""
+    n = draw(st.integers(4, 14))
+    hub, deg = n - 1, Counter()
+    edges = set()
+    vertex = st.integers(1, hub)
+    for u, v in [(0, hub), (1, hub)] + draw(
+            st.lists(st.tuples(vertex, vertex), max_size=3 * n)):
+        u, v = min(u, v), max(u, v)
+        if u != v and (u, v) not in edges and deg[u] < 5 and deg[v] < 5:
+            edges.add((u, v))
+            deg[u] += 1
+            deg[v] += 1
+    edges = sorted(edges)
+    npts = draw(st.sampled_from([255, 256, 257, 511, 513]))
+    picks = draw(st.lists(st.tuples(st.sampled_from(edges), st.booleans()),
+                          min_size=npts, max_size=npts))
+    pairs = [(u, v) if flip else (v, u) for (u, v), flip in picks]
+    return (_SwapState(n + 1, edges),
+            np.array([p for p, _ in pairs], dtype=np.int64),
+            np.array([q for _, q in pairs], dtype=np.int64))
+
+
+def assert_scan_matches_oracle(state, points, parents):
+    for cutoff in range(13):
+        expected = [_cycle_through_edge(state.lists, int(x), int(p), cutoff)
+                    for x, p in zip(points, parents)]
+        got = _batched_cycle_scan(state, points, parents, cutoff)
+        assert got.tolist() == expected, cutoff
+
+
 class TestBatchedCycleScan:
     @settings(max_examples=150, deadline=None)
     @given(scan_inputs())
@@ -258,6 +308,48 @@ class TestBatchedCycleScan:
                         for x, p in zip(points, parents)]
             got = _batched_cycle_scan(state, points, parents, cutoff)
             assert got.tolist() == expected, cutoff
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_scan_inputs())
+    def test_block_boundaries_match_scalar_oracle(self, inputs):
+        state, points, parents = inputs
+        deg = np.diff(state.indptr)
+        assert (np.diff(deg) > 0).any()  # the relabelling is not the identity
+        assert_scan_matches_oracle(state, points, parents)
+
+    @pytest.mark.parametrize("n,edges,points,parents", [
+        (3, [(0, 1), (1, 2), (0, 2)], [], []),        # no points
+        (4, [(0, 1), (2, 3)], [0, 1, 3], [1, 0, 2]),  # largest degree 1
+        (3, [], [0, 2], [1, 1]),                      # largest degree 0
+        (3, [(0, 1), (1, 2), (0, 2)], [0, 1, 2], [1, 2, 0]),
+    ])
+    def test_edge_cases_match_scalar_oracle(self, n, edges, points, parents):
+        state = _SwapState(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        points = np.array(points, dtype=np.int64)
+        parents = np.array(parents, dtype=np.int64)
+        assert_scan_matches_oracle(state, points, parents)
+        # a triangle's cycles all have length 3, so cutoff 2 hides them
+        for cutoff in range(3):
+            assert (_batched_cycle_scan(state, points, parents, cutoff)
+                    == _BIG).all()
+
+    def test_peak_memory_of_the_largest_grid_scan(self):
+        # the first scan of pair_trees(4, 6, seed=0): 5120 points on 8532
+        # vertices, cutoff girth_target - 1 = 9; a scan over all points at
+        # once peaked at 27 MiB
+        levels, parent = tree_layout(4, 6)
+        points = levels[-1]
+        t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
+        t2, slots, t2p, _, total = _attach_tree(
+            4, 6, points, len(parent) + 1, np.random.default_rng(0))
+        state = _SwapState(total, np.concatenate([t1, t2]))
+        tracemalloc.start()
+        try:
+            _batched_cycle_scan(state, points, t2p[slots], 9)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
 
 
 @st.composite
