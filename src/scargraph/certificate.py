@@ -175,8 +175,7 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
         for sid, site in enumerate(sg.sites):
             allowed = set(int(v) for v in np.concatenate([site.v1, site.v2]))
             for lam in spec.eigenvalues:
-                nu = localized_eigenvector(sg, sid, float(lam),
-                                           residual_tol=math.inf)
+                nu = localized_eigenvector(sg, sid, float(lam))
                 rinf, rtwo = residual(g, nu, float(lam))
                 support = np.nonzero(np.abs(nu) > SUPPORT_EPS)[0]
                 wit = scarring_witness(nu, support, M)

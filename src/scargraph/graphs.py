@@ -36,7 +36,7 @@ deletes nothing.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
@@ -169,10 +169,8 @@ def _graph_from_half_edges(n, lo, hi) -> Graph:
 
 @dataclass
 class DistanceMap:
-    """BFS hop counts from one source; -1 marks vertices beyond ``cap``."""
-    source: int
+    """``dist``: hop counts from one source; -1 past the cap or unreached."""
     dist: np.ndarray
-    cap: int | None = None
 
 
 def _neighbours(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
@@ -217,8 +215,7 @@ def _hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
 def bfs_distances(g: Graph, source: int, cap: int | None = None) -> DistanceMap:
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
-    return DistanceMap(source, _hop_distances(g.indptr, g.indices, [source],
-                                              cap), cap)
+    return DistanceMap(_hop_distances(g.indptr, g.indices, [source], cap))
 
 
 # Entries one path-count matrix may hold per chunk of sources; the chunk is
@@ -366,12 +363,10 @@ def shortest_cycle_through(g: Graph, v: int):
 @dataclass
 class Ball:
     """Induced subgraph on a radius-R ball, with its BFS layer structure."""
-    center: int
-    radius: int
     vertices: np.ndarray        # original ids, sorted by (distance, id)
-    layers: list = field(default_factory=list)  # original ids per distance
-    subgraph: Graph | None = None
-    is_tree: bool = False
+    layers: list                # original ids per distance
+    subgraph: Graph
+    is_tree: bool
 
 
 def ball(g: Graph, v: int, radius: int) -> Ball:
@@ -390,8 +385,8 @@ def ball(g: Graph, v: int, radius: int) -> Ball:
     keep = src < dst
     sub = build_graph(len(verts), np.column_stack([src[keep], dst[keep]]))
     # the ball is connected, so acyclic iff m = n - 1
-    return Ball(v, radius, verts, [lay.tolist() for lay in layers],
-                sub, sub.num_edges == sub.n - 1)
+    return Ball(verts, [lay.tolist() for lay in layers], sub,
+                sub.num_edges == sub.n - 1)
 
 
 def is_bipartite(g: Graph) -> bool:

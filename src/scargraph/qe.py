@@ -12,20 +12,19 @@ import numpy as np
 from .scars import ScarSite
 from .spectral import norm2
 
+ORTH_TOL = 1e-8         # largest |B^T B - I| entry qe_average accepts
+
 
 @dataclass
 class ScarWitness:
     """<psi, a psi> for a = 1_S - |S|/M, the mean-zero indicator of S."""
-    support: np.ndarray
     value: float
     mass: float                 # squared l2 mass of psi on S
     sup_norm_ok: bool           # the test function satisfies |a| <= 1
 
 
-def scarring_witness(psi, S, M: int | None = None) -> ScarWitness:
+def scarring_witness(psi, S, M: int) -> ScarWitness:
     psi = np.asarray(psi, dtype=float)
-    if M is None:
-        M = len(psi)
     if len(psi) != M:
         raise ValueError("psi must live on all M vertices")
     norm = norm2(psi)
@@ -36,10 +35,10 @@ def scarring_witness(psi, S, M: int | None = None) -> ScarWitness:
     frac = len(S) / M
     value = mass - frac
     sup_ok = max(abs(1.0 - frac), frac) <= 1.0 + 1e-12
-    return ScarWitness(S, value, mass, sup_ok)
+    return ScarWitness(value, mass, sup_ok)
 
 
-def qe_average(basis, a, orth_tol: float = 1e-8) -> float:
+def qe_average(basis, a) -> float:
     """(1/M) sum_i <psi_i, a psi_i>^2 over an orthonormal eigenbasis, for a
     mean-zero test function with sup norm at most 1.
 
@@ -58,8 +57,8 @@ def qe_average(basis, a, orth_tol: float = 1e-8) -> float:
     if np.abs(a).max() > 1.0 + 1e-12:
         raise ValueError("test function must have sup norm at most 1")
     err = np.abs(basis.T @ basis - np.eye(M)).max()
-    if err > orth_tol:
-        raise ValueError(f"basis is not orthonormal within {orth_tol}: {err}")
+    if err > ORTH_TOL:
+        raise ValueError(f"basis is not orthonormal within {ORTH_TOL}: {err}")
     vals = a @ (basis ** 2)
     return float(np.mean(vals ** 2))
 
@@ -103,9 +102,7 @@ def localization_bounds(d: int, girth_value: float, eps: float) -> LocalizationB
 @dataclass
 class PartialLocalization:
     levels_used: int
-    support: np.ndarray
     mass: float
-    level_masses: np.ndarray     # per interior level of the carved tree
 
 
 def partial_localization(nu, site: ScarSite, eps: float) -> PartialLocalization:
@@ -114,11 +111,8 @@ def partial_localization(nu, site: ScarSite, eps: float) -> PartialLocalization:
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
     nu = np.asarray(nu, dtype=float)
-    level_masses = np.array([float(np.sum(nu[lv] ** 2)) for lv in site.t1_levels])
     t = math.floor(eps * site.r)
     if t == 0:
-        return PartialLocalization(0, np.zeros(0, dtype=np.int64), 0.0,
-                                   level_masses)
+        return PartialLocalization(0, 0.0)
     support = np.concatenate(site.t1_levels[:t])
-    return PartialLocalization(t, support, float(np.sum(nu[support] ** 2)),
-                               level_masses)
+    return PartialLocalization(t, float(np.sum(nu[support] ** 2)))

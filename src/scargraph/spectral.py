@@ -7,7 +7,7 @@ the OpenBLAS pool ARPACK runs on, not numpy's separately bundled pool.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
@@ -20,6 +20,7 @@ from .trees import DaryTree
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
 LANCZOS_TOL = 1e-10     # relative accuracy ARPACK asks of each Ritz value
 LANCZOS_SEED = 0        # seeds the Lanczos start vector, so runs repeat
+KAHALE_TOL = 1e-9       # slack on kahale_check's inequalities
 
 
 class EigensolverError(RuntimeError):
@@ -208,7 +209,6 @@ def tree_quadratic_bound_check(tree: DaryTree, f) -> QuadraticBound:
 class KahaleInstance:
     """Layer structure around a vertex set X with a per-layer positive
     test function s and a growth rate mu."""
-    X: list
     h: int
     layers: list                 # X_0..X_h as vertex index arrays
     s: np.ndarray                # per-vertex values, 0 outside the layers
@@ -218,22 +218,20 @@ class KahaleInstance:
 def kahale_instance(g: Graph, X, h: int, s_by_layer, mu: float) -> KahaleInstance:
     """Build layers X_i = vertices at distance i from X and spread the
     per-layer s values onto them."""
-    X = sorted(int(v) for v in X)
     if h < 1:
         raise ValueError("h must be at least 1")
     if len(s_by_layer) < h + 1:
         raise ValueError("need s values for layers 0..h")
-    dist = _hop_distances(g.indptr, g.indices, X, h)
+    dist = _hop_distances(g.indptr, g.indices, list(X), h)
     layers = [np.nonzero(dist == i)[0] for i in range(h + 1)]
     s = np.zeros(g.n)
     for i, lay in enumerate(layers):
         s[lay] = s_by_layer[i]
-    return KahaleInstance(X, h, layers, s, mu)
+    return KahaleInstance(h, layers, s, mu)
 
 
 @dataclass
 class KahaleVerdict:
-    layer_regular: dict            # (i, j) -> (constant?, value or None)
     condition1: bool
     condition2: bool
     condition3: bool
@@ -249,31 +247,29 @@ class KahaleVerdict:
 
 
 def kahale_check(g: Graph, inst: KahaleInstance, test_vec=None,
-                 test_mu: float | None = None, tol: float = 1e-9) -> KahaleVerdict:
+                 test_mu: float | None = None) -> KahaleVerdict:
     """Verify the three layered-growth conditions, and, given an (exact)
     eigenvector as test_vec, the outward mass-ratio conclusion.
 
     Condition 1 (layer regularity) is checked for the layer pairs
-    (h-1, h-1), (h-1, h), (h, h-1), (h, h) only; the verdict records which
-    pairs hold.  Condition 3 checks A s <= |mu| s on every vertex within
-    distance h-1 of X.
+    (h-1, h-1), (h-1, h), (h, h-1), (h, h) only.  Condition 3 checks
+    A s <= |mu| s on every vertex within distance h-1 of X.  Condition 3
+    and the conclusion allow slack KAHALE_TOL, the eigenvector premise 1e-6.
     """
     h = inst.h
     layers = inst.layers
     if any(len(lay) == 0 for lay in layers):
         raise ValueError("inconsistent layers: some layer up to h is empty")
     near = np.concatenate(layers[:h])         # distance <= h-1
-    layer_regular = {}
+    cond1 = True
     for i in (h - 1, h):
         nbrs, deg = _neighbours(g.indptr, g.indices, layers[i])
         rows = np.repeat(np.arange(len(layers[i])), deg)
         for j in (h - 1, h):
             # the neighbours each vertex of layer i has in layer j
             counts = np.bincount(rows, weights=np.isin(nbrs, layers[j]),
-                                 minlength=len(layers[i])).astype(np.int64)
-            const = bool((counts == counts[0]).all())
-            layer_regular[(i, j)] = (const, int(counts[0]) if const else None)
-    cond1 = all(const for const, _ in layer_regular.values())
+                                 minlength=len(layers[i]))
+            cond1 = cond1 and bool((counts == counts[0]).all())
 
     svals = [inst.s[lay] for lay in layers]
     cond2 = all(np.ptp(sv) == 0 for sv in (svals[h - 1], svals[h]))
@@ -281,22 +277,22 @@ def kahale_check(g: Graph, inst: KahaleInstance, test_vec=None,
 
     As = g.csr() @ inst.s
     margin = float((abs(inst.mu) * inst.s[near] - As[near]).min())
-    cond3 = positive and margin >= -tol
+    cond3 = positive and margin >= -KAHALE_TOL
 
-    verdict = KahaleVerdict(layer_regular, cond1, cond2, cond3, margin)
+    verdict = KahaleVerdict(cond1, cond2, cond3, margin)
     if test_vec is not None:
         gv = np.asarray(test_vec, dtype=float)
         mu_g = abs(test_mu) if test_mu is not None else abs(inst.mu)
         Ag = g.csr() @ gv
         premise = float(np.abs(np.abs(Ag[near]) - mu_g * np.abs(gv[near])).max())
-        verdict.premise_ok = premise <= max(tol, 1e-6)
+        verdict.premise_ok = premise <= 1e-6
         num_hi = float(np.sum(gv[layers[h]] ** 2))
         den_hi = float(np.sum(inst.s[layers[h]] ** 2))
         num_lo = float(np.sum(gv[layers[h - 1]] ** 2))
         den_lo = float(np.sum(inst.s[layers[h - 1]] ** 2))
         verdict.ratio_lo = num_lo / den_lo
         verdict.ratio_hi = num_hi / den_hi
-        verdict.conclusion = verdict.ratio_hi >= verdict.ratio_lo - tol
+        verdict.conclusion = verdict.ratio_hi >= verdict.ratio_lo - KAHALE_TOL
     return verdict
 
 
@@ -313,15 +309,11 @@ class TestFunctionSequence:
     x_{i+1} = min(b + eps - 1/x_i, c), which is nondecreasing and reaches c
     after at most ceil(1/eps) steps.
     """
-    d: int
-    epsilon: float
-    r: int
-    length: int
     b: float
     c: float
     x: np.ndarray              # x_1 .. x_{length+1}
     s: np.ndarray              # s_0 .. s_{r+1+length}
-    checks: dict = field(default_factory=dict)
+    checks: dict
 
 
 def kahale_sequence(d: int, epsilon: float, r: int, length: int = 0
@@ -363,4 +355,4 @@ def kahale_sequence(d: int, epsilon: float, r: int, length: int = 0
         "x_reaches_c": bool(all(abs(x[i] - c) <= 1e-12
                                 for i in range(math.ceil(1.0 / epsilon), nx))),
     }
-    return TestFunctionSequence(d, epsilon, r, length, b, c, x, s, checks)
+    return TestFunctionSequence(b, c, x, s, checks)

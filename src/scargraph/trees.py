@@ -99,7 +99,6 @@ class RadialSpectrum:
     ``profiles[k]`` holds (f_0, ..., f_D) for ``eigenvalues[k]``; profiles are
     normalized so the lifted tree vector has unit l2 norm, with f_0 > 0.
     """
-    d: int
     depth: int
     eigenvalues: np.ndarray      # ascending
     profiles: np.ndarray         # shape (depth+1, depth+1)
@@ -122,14 +121,14 @@ def radial_spectrum(d: int, depth: int) -> RadialSpectrum:
     if d < 2:
         raise ValueError("branching d must be at least 2")
     if depth == 0:
-        return RadialSpectrum(d, 0, np.zeros(1), np.ones((1, 1)))
+        return RadialSpectrum(0, np.zeros(1), np.ones((1, 1)))
     w, vecs = eigh_tridiagonal(np.zeros(depth + 1), _symmetrized_offdiag(d, depth))
     sq = np.sqrt(np.array(level_sizes(d, depth), dtype=float))
     profiles = (vecs / sq[:, None]).T
     # the root entry of a radial eigenvector is never 0; fix its sign
     signs = np.sign(profiles[:, 0])
     profiles = profiles * signs[:, None]
-    return RadialSpectrum(d, depth, w, profiles)
+    return RadialSpectrum(depth, w, profiles)
 
 
 def lift_radial(tree: DaryTree, profile) -> np.ndarray:

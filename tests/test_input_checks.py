@@ -1,0 +1,115 @@
+"""The input checks of the CLI and the library: each bad input is refused
+with its message, and the CLI exits 2 without a traceback."""
+
+import pytest
+
+from scargraph.base import legendre_symbol
+from scargraph.cli import main
+from scargraph.graphs import (build_graph, bfs_distances, is_regular,
+                              shortest_cycle_through, vertex_expansion)
+from scargraph.named import cycle_graph
+from scargraph.scars import carve_site, glue, greedy_packing, multi_glue
+from scargraph.spectral import extreme_eigenvalues, kahale_instance
+from scargraph.trees import interior_size
+
+
+def _exit_two(capsys, argv, message):
+    code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert message in err and "Traceback" not in err
+
+
+class TestCliExitTwo:
+    @pytest.mark.parametrize("header,message", [
+        ("a b", "line 1: header must hold two integers"),
+        ("-1 0", "n and m must be nonnegative"),
+    ])
+    def test_bad_header(self, tmp_path, capsys, header, message):
+        bad = tmp_path / "bad.edges"
+        bad.write_text(header + "\n")
+        _exit_two(capsys, ["base", "validate", "--graph", str(bad),
+                           "--d", "2", "--r", "1"], message)
+
+    def test_construct_radius_zero(self, tmp_path, capsys):
+        _exit_two(capsys, ["construct", "--lps", "5", "29", "--d", "5",
+                           "--r", "0", "--out", str(tmp_path / "g.edges"),
+                           "--cert", str(tmp_path / "c.json")],
+                  "r must be at least 1")
+        assert not list(tmp_path.iterdir())
+
+    # 9 and 45 are odd composites = 1 mod 4: only trial division rejects them
+    @pytest.mark.parametrize("p,q,message", [
+        (9, 29, "p = 9 must be a prime = 1 mod 4"),
+        (5, 45, "q = 45 must be a prime = 1 mod 4"),
+        (5, 31, "q = 31 must be a prime = 1 mod 4"),
+    ])
+    def test_base_lps_bad_primes(self, tmp_path, capsys, p, q, message):
+        out = tmp_path / "h.edges"
+        _exit_two(capsys, ["base", "lps", "--p", str(p), "--q", str(q),
+                           "--out", str(out)], message)
+        assert not out.exists()
+
+
+class TestGraphChecks:
+    def test_build_graph(self):
+        with pytest.raises(ValueError, match="vertex count must be nonnegative"):
+            build_graph(-1, [])
+        with pytest.raises(ValueError, match="edges must be pairs"):
+            build_graph(3, [[0, 1, 2]])
+
+    @pytest.mark.parametrize("v", [-1, 24])
+    def test_vertex_out_of_range(self, mcgee, v):
+        with pytest.raises(ValueError, match=f"source {v} out of range"):
+            bfs_distances(mcgee, v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            shortest_cycle_through(mcgee, v)
+        with pytest.raises(ValueError, match=f"vertex {v} out of range"):
+            vertex_expansion(mcgee, [0, v])
+
+    def test_extreme_eigenvalues_of_empty_graph(self):
+        with pytest.raises(ValueError, match="empty graph"):
+            extreme_eigenvalues(build_graph(0, []))
+
+
+class TestScarsChecks:
+    def test_greedy_packing_min_dist(self, mcgee):
+        with pytest.raises(ValueError, match="min_dist must be at least 1"):
+            greedy_packing(mcgee, 0)
+
+    def test_glue_sites_of_different_radii(self, lps_h):
+        sites = [carve_site(lps_h, 0, 1), carve_site(lps_h, 1, 2)]
+        with pytest.raises(ValueError, match="same d and r"):
+            glue(lps_h, sites)
+
+    def test_negative_site_count(self, mcgee):
+        with pytest.raises(ValueError, match="site count must be nonnegative"):
+            multi_glue(mcgee, -1, 1)
+
+    def test_cycle_base_refused(self):
+        # a 2-regular base has d = 1
+        with pytest.raises(ValueError, match=r"\(d\+1\)-regular with d >= 2"):
+            multi_glue(cycle_graph(8), 1, 1)
+        with pytest.raises(ValueError, match=r"\(d\+1\)-regular with d >= 2"):
+            carve_site(cycle_graph(8), 0, 1)
+
+
+class TestKahaleInstanceChecks:
+    def test_h_zero(self, mcgee):
+        with pytest.raises(ValueError, match="h must be at least 1"):
+            kahale_instance(mcgee, [0], 0, [1.0], 1.0)
+
+    def test_too_few_s_values(self, mcgee):
+        with pytest.raises(ValueError, match="need s values for layers 0..h"):
+            kahale_instance(mcgee, [0], 2, [1.0, 1.0], 1.0)
+
+
+class TestDegenerateValues:
+    def test_legendre_of_a_multiple(self):
+        assert legendre_symbol(29, 29) == 0
+
+    def test_interior_of_depth_zero_tree(self):
+        assert interior_size(2, 0) == 0
+
+    def test_empty_graph_is_zero_regular(self):
+        assert is_regular(build_graph(0, [])) == 0

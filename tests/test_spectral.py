@@ -412,3 +412,18 @@ class TestInterfaceQuadraticAudit:
                 g /= np.linalg.norm(g)
                 lhs, rhs = interface_quadratic_bound(sg, g)
                 assert lhs <= rhs + 1e-9
+
+
+class TestKahaleInstanceSources:
+    @pytest.mark.parametrize("make", [
+        set, lambda X: (v for v in X), lambda X: np.array(X, dtype=np.int64),
+    ], ids=["set", "generator", "int64-array"])
+    def test_any_iterable_of_sources(self, lps_sg, make):
+        # the layers and s depend on the set X only, not on its container
+        X = [int(v) for v in lps_sg.sites[0].t3_levels[0]] + [5, 0]
+        s_layers = [1.0, 0.5, 0.25]
+        ref = kahale_instance(lps_sg.graph, sorted(X), 2, s_layers, 1.0)
+        inst = kahale_instance(lps_sg.graph, make(X), 2, s_layers, 1.0)
+        assert [lay.tolist() for lay in inst.layers] \
+            == [lay.tolist() for lay in ref.layers]
+        assert inst.s.tolist() == ref.s.tolist()
