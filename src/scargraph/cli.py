@@ -146,16 +146,21 @@ def qe_rows(w, vecs, S) -> list:
     """
     n = len(w)
     cuts = np.flatnonzero(np.diff(w) > EIGENSPACE_GAP) + 1
+    los, his = np.r_[0, cuts][:n], np.r_[cuts, n][:n]   # none when n = 0
+    sizes, tops = his - los, np.zeros(len(los))
+    for k in (np.unique(sizes) if S else ()):
+        at = np.flatnonzero(sizes == k)
+        cols = (los[at, None] + np.arange(k)).ravel()
+        VS = vecs[np.ix_(S, cols)].reshape(len(S), len(at), k)
+        sv = np.linalg.svd(VS.transpose(1, 0, 2), compute_uv=False)
+        tops[at] = sv[:, 0] ** 2 - len(S) / n
     rows = []
-    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+    for lo, hi, top in zip(los, his, tops):
         k = int(hi - lo)
         V = vecs[:, lo:hi]
         amp = np.sqrt(np.einsum("ij,ij->i", V, V) / k)
         size, _ = min_support_for_mass(amp, 0.5)
-        wit = top = 0.0
-        if S:
-            wit = scarring_witness(amp, S, n).value
-            top = np.linalg.norm(V[S], 2) ** 2 - len(S) / n
+        wit = scarring_witness(amp, S, n).value if S else 0.0
         rows += [(float(w[lo:hi].mean()), k, size, wit, float(top))] * k
     return rows
 

@@ -66,16 +66,21 @@ def qe_average(basis, a) -> float:
 def min_support_for_mass(v, eps: float):
     """Size (and members) of the smallest vertex set carrying squared mass
     at least eps; the greedy prefix of coordinates sorted by |v| descending
-    is optimal."""
+    is optimal, ties going to the lowest ids first.
+
+    k comes from the cumulative sum of the values sorted alone: tied entries
+    are equal, so the sums match those over the stably ordered entries bit
+    for bit.  Only the entries at least the k-th largest are then ordered.
+    """
     if not 0 < eps <= 1:
         raise ValueError("eps must lie in (0, 1]")
-    v = np.asarray(v, dtype=float)
-    w = v ** 2
-    order = np.argsort(-w, kind="stable")
-    csum = np.cumsum(w[order])
-    k = int(np.searchsorted(csum, eps - 1e-12)) + 1
-    k = min(k, len(v))
-    return k, order[:k]
+    w = np.asarray(v, dtype=float) ** 2
+    if not np.isfinite(w).all():
+        raise ValueError("squared entries of v must be finite")
+    desc = np.sort(w)[::-1]
+    k = min(int(np.searchsorted(np.cumsum(desc), eps - 1e-12)) + 1, len(w))
+    heavy = np.flatnonzero(w >= desc[k - 1]) if k else np.arange(0)
+    return k, heavy[np.argsort(-w[heavy], kind="stable")][:k]
 
 
 @dataclass

@@ -1,3 +1,4 @@
+import numpy as np
 import pytest
 from scipy.linalg import eigh
 
@@ -93,3 +94,13 @@ def random_small_graph(rng, n_max=12):
             if rng.random() < 0.35:
                 edges.append((u, v))
     return build_graph(n, edges)
+
+
+def min_support_reference(v, eps):
+    """(k, members) of the smallest set carrying squared mass eps, from a
+    stable argsort of every entry: the rule min_support_for_mass keeps."""
+    w = np.asarray(v, dtype=float) ** 2
+    order = np.argsort(-w, kind="stable")
+    k = min(int(np.searchsorted(np.cumsum(w[order]), eps - 1e-12)) + 1,
+            len(w))
+    return k, order[:k]

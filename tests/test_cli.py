@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 from scipy.linalg import eigh
 
+from conftest import min_support_reference
 from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
-from scargraph.cli import (QE_MAX_VERTICES, RunConfig, main, qe_rows,
-                           run_pipeline)
+from scargraph.cli import (EIGENSPACE_GAP, QE_MAX_VERTICES, RunConfig, main,
+                           qe_rows, run_pipeline)
 from scargraph.graphs import MAX_VERTICES, ConstructionError, save_edge_list
 from scargraph.named import cycle_graph, mcgee_graph
 from scargraph.qe import min_support_for_mass, scarring_witness
@@ -451,6 +452,79 @@ class TestQeTable:
         w, vecs = eigh(sg.graph.csr().toarray())
         top = max(row[4] for row in qe_rows(w, vecs, S))
         assert abs(top - (1 - len(S) / sg.graph.n)) <= 1e-12
+
+
+def _qe_rows_loop(w, vecs, S):
+    """The qe table one eigenspace at a time, with the minimal support from
+    a full stable argsort and witness_max from np.linalg.norm(V_S, 2): the
+    reference the batched qe_rows must match byte for byte."""
+    n = len(w)
+    cuts = np.flatnonzero(np.diff(w) > EIGENSPACE_GAP) + 1
+    rows = []
+    for lo, hi in zip(np.r_[0, cuts], np.r_[cuts, n]):
+        k = int(hi - lo)
+        V = vecs[:, lo:hi]
+        amp = np.sqrt(np.einsum("ij,ij->i", V, V) / k)
+        size, _ = min_support_reference(amp, 0.5)
+        wit = top = 0.0
+        if S:
+            wit = scarring_witness(amp, S, n).value
+            top = np.linalg.norm(V[S], 2) ** 2 - len(S) / n
+        rows += [(float(w[lo:hi].mean()), k, size, wit, float(top))] * k
+    return rows
+
+
+def _assert_rows_identical(w, vecs, S):
+    table = qe_rows(w, vecs, S)
+    assert [tuple(map(repr, row)) for row in table] == [
+        tuple(map(repr, row)) for row in _qe_rows_loop(w, vecs, S)]
+    return table
+
+
+class TestQeRowsMatchLoop:
+    @pytest.mark.parametrize("case", ["glued-mcgee", "cubic6", "cubic6-no-S"])
+    def test_simple_and_empty_support(self, request, case):
+        if case == "glued-mcgee":
+            sg = request.getfixturevalue("mcgee_sg")
+            g, S = sg.graph, _certified_support(sg)
+        else:
+            g = request.getfixturevalue("cubic6")
+            S = list(range(0, 200, 9)) if case == "cubic6" else []
+        table = _assert_rows_identical(*eigh(g.csr().toarray()), S)
+        if not S:
+            assert all(row[3:] == (0.0, 0.0) for row in table)
+
+    def test_degenerate(self, degenerate_case):
+        g, S = degenerate_case
+        w, vecs = eigh(g.csr().toarray())
+        for support in (S, []):
+            _assert_rows_identical(w, vecs, support)
+
+    def test_glued_lps13(self):
+        # the dense-lps13 graph: 1379 eigenspaces, multiplicities up to 188
+        sg = multi_glue(lps_graph(13, 17), 1, 1, seed=1)
+        w, vecs = eigh(sg.graph.csr().toarray(order="F"), driver="evd",
+                       overwrite_a=True, check_finite=False)
+        table = _assert_rows_identical(w, vecs, _certified_support(sg))
+        assert max(row[1] for row in table) >= 100
+
+    @pytest.mark.filterwarnings("error")
+    def test_no_vertices(self, mcgee_file, tmp_path, capsys):
+        cpath = tmp_path / "cert.json"
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "0", "--out", str(tmp_path / "g.edges"),
+              "--cert", str(cpath)])
+        data = json.loads(cpath.read_text())
+        cpath.write_text(json.dumps(dict(data, M=0, m=0)))
+        empty = tmp_path / "empty.edges"
+        empty.write_text("0 0\n")
+        qpath = tmp_path / "qe.csv"
+        assert main(["qe", "--graph", str(empty), "--cert", str(cpath),
+                     "--out", str(qpath)]) == 0
+        assert qpath.read_text().splitlines() == [
+            "lambda,multiplicity,min_support_0.5,witness,witness_max"]
+        assert qe_rows(np.zeros(0), np.zeros((0, 0)), []) == []
+        assert "wrote 0 rows" in capsys.readouterr().out
 
 
 class TestMalformedEdgeList:

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import eigh
 
+from conftest import min_support_reference
 from scargraph.named import cycle_graph
 from scargraph.qe import (localization_bounds, min_support_for_mass,
                           partial_localization, qe_average, scarring_witness)
@@ -158,6 +161,35 @@ class TestMinSupport:
             min_support_for_mass(np.ones(3), 0.0)
         with pytest.raises(ValueError):
             min_support_for_mass(np.ones(3), 1.5)
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+    def test_non_finite_mass_rejected(self, bad):
+        # a NaN would sort first and leave k members unfound
+        with pytest.raises(ValueError, match="finite"):
+            min_support_for_mass(np.array([bad, 1.0, 0.5]), 0.5)
+
+    def test_empty_vector(self):
+        size, members = min_support_for_mass(np.array([]), 1e-9)
+        assert size == 0 and members.tolist() == []
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.one_of(
+        st.lists(st.sampled_from([0.0, 0.5, -0.5, 1.0, 2.0]), max_size=40),
+        st.lists(st.integers(-3, 3).map(float), max_size=40),
+        st.integers(0, 40).map(lambda n: [0.0] * n),
+        st.lists(st.floats(-1, 1), min_size=0, max_size=1)),
+        st.sampled_from([1e-9, 0.5, 1.0]), st.booleans())
+    def test_ties_match_the_full_stable_argsort(self, v, eps, normalize):
+        # entries from a small alphabet tie often; ties go to the lowest ids
+        v = np.array(v, dtype=float)
+        norm = np.linalg.norm(v)
+        if normalize and norm > 0:
+            v /= norm
+        size, members = min_support_for_mass(v, eps)
+        ref_size, ref_members = min_support_reference(v, eps)
+        assert size == ref_size
+        assert members.tolist() == ref_members.tolist()
 
 
 class TestLocalizationBounds:
