@@ -154,6 +154,23 @@ def record_shape_error(rec: LocalizedRecord, n: int) -> str:
             "and the values must be numbers")
 
 
+def _derived_fields(d: int, r: int, k: int, M: int, m: int):
+    """(girth_bound, girth_required, M - 2k|T1 interior|, effective_alpha
+    on the base size m), or None when d < 2, or when there are sites and r
+    is negative or at least M's bit length: a depth-r site holds 2^r
+    vertices or more, so the bounds, which grow like d^r, are not evaluated."""
+    if d < 2 or k and not 0 <= r < M.bit_length():
+        return None
+    try:
+        alpha = r * math.log(d) / math.log(m) if m > 1 else 0.0
+    except OverflowError:  # r beyond a float: reached only without sites
+        alpha = math.inf if r > 0 else -math.inf
+    if not k:
+        return 0, 0, M, alpha
+    return (girth_bound(d, r), girth_required(d, r),
+            M - 2 * k * interior_size(d, r), alpha)
+
+
 def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
     """Measure every certified quantity of a scarred graph; failures are
     recorded in the checks map, never raised."""
@@ -162,6 +179,7 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
     M, m = g.n, sg.base_size
     gv = sg.girth if sg.girth is not None else girth(g)
     gv = int(gv) if gv != math.inf else -1
+    bound, required, _, alpha = _derived_fields(d, r, k, M, m)
     summary = extreme_eigenvalues(g, how_many=0)
     thm, prop = spectral_threshold(d)
 
@@ -192,17 +210,15 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
         checks["localized_interior"] = all(
             rec.interior_eigenvalue for rec in localized)
         checks["localized_count"] = len(localized) == k * r
-        checks["girth_at_least_bound"] = gv >= girth_bound(d, r)
-        checks["girth_at_least_required"] = gv >= girth_required(d, r)
+        checks["girth_at_least_bound"] = gv >= bound
+        checks["girth_at_least_required"] = gv >= required
     checks["spectral_within_threshold"] = summary.lambda2_abs <= thm
 
     created = datetime.datetime.now(datetime.timezone.utc).isoformat() \
         if timestamp else ""
-    alpha = r * math.log(d) / math.log(m) if m > 1 else 0.0
     return Certificate(
         d=d, r=r, k=k, m=m, M=M, seed=sg.seed, seeds_used=list(sg.seeds_used),
-        girth=gv, girth_bound=girth_bound(d, r) if k else 0,
-        girth_required=girth_required(d, r) if k else 0,
+        girth=gv, girth_bound=bound, girth_required=required,
         lambda_max_nontrivial=summary.lambda2_abs,
         spectral_threshold=thm, proposition_threshold=prop,
         effective_alpha=alpha, spectral_method=summary.method,
@@ -239,22 +255,6 @@ def _site_vertices(site) -> set:
         return set()
 
 
-def _derived_fields(cert: Certificate):
-    """(girth_bound, girth_required, m, effective_alpha) as
-    build_certificate derives them from d, r, k, M and the recorded m, or
-    None when d < 2 or r is negative or at least M's bit length: a depth-r
-    site holds 2^r vertices or more, so such an r is never right, and the
-    bounds, which grow like d^r, are not evaluated."""
-    d, r, k, m = cert.d, cert.r, cert.k, cert.m
-    if d < 2 or not 0 <= r < cert.M.bit_length():
-        return None
-    alpha = r * math.log(d) / math.log(m) if m > 1 else 0.0
-    if not k:
-        return 0, 0, cert.M, alpha
-    return (girth_bound(d, r), girth_required(d, r),
-            cert.M - 2 * k * interior_size(d, r), alpha)
-
-
 def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     """Recompute every certified quantity from the graph and diff it
     against the certificate; each mismatch is itemized.  The site and
@@ -279,7 +279,8 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     check("vertex_count", g.n == cert.M, f"graph {g.n} vs certificate {cert.M}")
     deg = is_regular(g)
     check("regularity", deg == cert.d + 1, f"degree {deg}")
-    bound, required, m, alpha = _derived_fields(cert) or (None,) * 4
+    bound, required, m, alpha = _derived_fields(
+        cert.d, cert.r, cert.k, cert.M, cert.m) or (None,) * 4
     check("site_count", cert.k == len(cert.sites) and cert.m == m,
           f"k={cert.k} vs {len(cert.sites)} sites; m={cert.m} vs "
           f"M - 2k|T1 interior|={m}")

@@ -30,7 +30,7 @@ def scarring_witness(psi, S, M: int) -> ScarWitness:
     norm = norm2(psi)
     if abs(norm - 1.0) > 1e-9:
         raise ValueError(f"psi must be a unit vector, got norm {norm}")
-    S = np.asarray(sorted(int(v) for v in S), dtype=np.int64)
+    S = np.sort(np.fromiter(S, np.int64))
     mass = float(np.sum(psi[S] ** 2))
     frac = len(S) / M
     value = mass - frac

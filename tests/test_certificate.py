@@ -330,6 +330,33 @@ class TestDerivedFields:
                           "girth_required_consistent", "effective_alpha"]
 
 
+class TestZeroSites:
+    """Without sites r enters only effective_alpha, so build and verify
+    agree for every r, also at and above M's bit length (5 for M = 24)."""
+
+    @pytest.mark.parametrize("r", range(10))
+    def test_round_trip(self, mcgee, r):
+        sg = multi_glue(mcgee, 0, r)
+        cert = build_certificate(sg)
+        assert cert.all_ok and cert.k == 0 and cert.r == r
+        assert cert.girth_bound == cert.girth_required == 0
+        report = verify_certificate(
+            sg.graph, Certificate.from_dict(json.loads(cert.to_json())))
+        assert report.passed, report.summary()
+
+    @pytest.mark.parametrize("r", [10 ** 400, -10 ** 400],
+                             ids=["deep", "negative"])
+    def test_absurd_depth_fails_on_alpha_alone(self, mcgee, r):
+        # r * log d overflows a float; alpha is then infinite, never equal
+        # to the recorded one
+        sg = multi_glue(mcgee, 0, 9)
+        data = build_certificate(sg).to_dict()
+        data["r"] = r
+        report = verify_certificate(sg.graph, Certificate.from_dict(data))
+        assert [it.name for it in report.items if not it.ok] == \
+            ["effective_alpha"]
+
+
 @pytest.mark.parametrize("value", [None, "0.5", [0.5]])
 def test_non_numeric_value_fails_its_record(mcgee_sg, value):
     data = build_certificate(mcgee_sg).to_dict()

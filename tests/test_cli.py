@@ -116,6 +116,22 @@ class TestForestBase:
         assert "Traceback" not in proc.stderr
 
 
+def test_zero_site_certificate_with_absurd_depth_fails(tmp_path):
+    # a k = 0 certificate edited to r = 10**400: verify exits 1 on
+    # effective_alpha, with no overflow traceback
+    sg = multi_glue(mcgee_graph(), 0, 9)
+    data = build_certificate(sg).to_dict()
+    data["r"] = 10 ** 400
+    gpath, cpath = tmp_path / "g.edges", tmp_path / "c.json"
+    save_edge_list(sg.graph, gpath)
+    cpath.write_text(json.dumps(data))
+    proc = run_cli("verify", "--graph", str(gpath), "--cert", str(cpath))
+    assert proc.returncode == 1
+    assert "[FAIL] effective_alpha" in proc.stdout
+    assert "verification FAILED" in proc.stdout
+    assert "Traceback" not in proc.stderr
+
+
 class TestSubcommands:
     def test_base_validate(self, mcgee_file, capsys):
         code = main(["base", "validate", "--graph", mcgee_file,

@@ -116,6 +116,15 @@ class TestPairTrees:
         assert p.achieved_girth % 2 == 0
         assert girth(p.glued) == p.achieved_girth
 
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("D", [1, 2, 3, 4])
+    def test_girth_from_the_scan_matches_girth_kernel(self, d, D):
+        # achieved_girth comes from the swap engine's cycle scan, not from
+        # graphs.girth; the two kernels must agree on the glued graph
+        for seed in range(10):
+            p = pair_trees(d, D, seed)
+            assert p.achieved_girth == girth(p.glued), seed
+
     def test_degree_structure(self):
         p = pair_trees(3, 3, seed=2)
         deg = p.glued.degrees()
