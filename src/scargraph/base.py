@@ -189,9 +189,11 @@ class BaseReport:
     def to_json(self) -> str:
         out = dict(n=self.n, degree=self.degree, bipartite=self.bipartite,
                    girth=(None if self.girth == math.inf else int(self.girth)),
-                   lambda2_abs=self.lambda2_abs, ramanujan_ok=self.ramanujan_ok,
+                   lambda2_abs=(None if self.lambda2_abs == math.inf
+                                else self.lambda2_abs),
+                   ramanujan_ok=self.ramanujan_ok,
                    girth_ok_for_r=self.girth_ok_for_r, checks=self.checks)
-        return json.dumps(out, sort_keys=True)
+        return json.dumps(out, sort_keys=True, allow_nan=False)
 
 
 def validate_base(g: Graph, d: int, r: int) -> BaseReport:

@@ -12,7 +12,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .graphs import Graph, girth, is_regular
+from .graphs import MAX_VERTICES, Graph, girth, is_regular
 from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
 from .scars import ScarredGraph, localized_eigenvector
@@ -71,7 +71,8 @@ class Certificate:
         return asdict(self)
 
     def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True, indent=1)
+        return json.dumps(self.to_dict(), sort_keys=True, indent=1,
+                          allow_nan=False)
 
     def save(self, path) -> None:
         with open(path, "w", encoding="utf-8") as fh:
@@ -158,13 +159,12 @@ def _derived_fields(d: int, r: int, k: int, M: int, m: int):
     """(girth_bound, girth_required, M - 2k|T1 interior|, effective_alpha
     on the base size m), or None when d < 2, or when there are sites and r
     is negative or at least M's bit length: a depth-r site holds 2^r
-    vertices or more, so the bounds, which grow like d^r, are not evaluated."""
+    vertices or more, so the bounds, which grow like d^r, are not evaluated.
+    effective_alpha is None for an r that multi_glue refuses."""
     if d < 2 or k and not 0 <= r < M.bit_length():
         return None
-    try:
-        alpha = r * math.log(d) / math.log(m) if m > 1 else 0.0
-    except OverflowError:  # r beyond a float: reached only without sites
-        alpha = math.inf if r > 0 else -math.inf
+    alpha = (r * math.log(d) / math.log(m) if m > 1 else 0.0) \
+        if 0 <= r < MAX_VERTICES.bit_length() else None
     if not k:
         return 0, 0, M, alpha
     return (girth_bound(d, r), girth_required(d, r),

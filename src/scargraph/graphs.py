@@ -10,14 +10,14 @@ adjacency lists are built anew on each request.  A :class:`Graph` is
 immutable after construction, so all queries are safe to run concurrently.
 
 Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
-the layers around a vertex set, site packing, the swap engine's partner
-search) come from one frontier kernel, :func:`_hop_distances`: a
-level-synchronous BFS from a set of sources over raw CSR arrays that
-gathers a whole level's neighbour lists at once.  The swap engine's two
-cycle searches through a movable edge stay apart on measurement (median
-per call on the shortest-cycle edges of the pairing grid's (4, 5) and
-(4, 6) cells: ``_cycle_through_edge`` 0.12-0.14 ms, ``_hop_distances``
-0.28-0.52 ms, a one-edge ``_batched_cycle_scan`` 0.39-1.03 ms).
+:func:`shortest_cycle_through`, the layers around a vertex set, site
+packing, the swap engine's partner search) come from one frontier kernel,
+:func:`_hop_distances`: a level-synchronous BFS from a set of sources over
+raw CSR arrays, one whole level at a time.  The swap engine's two cycle
+searches through a movable edge stay apart on measurement (median per
+call on the shortest-cycle edges of the pairing grid's (4, 5) and (4, 6)
+cells: ``_cycle_through_edge`` 0.12-0.14 ms, ``_hop_distances`` 0.28-0.52
+ms, a one-edge ``_batched_cycle_scan`` 0.39-1.03 ms).
 
 Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
 kernel that counts non-backtracking walks for a chunk of sources at once,
@@ -157,14 +157,14 @@ def _edge_faults(n: int, e: np.ndarray):
 
 
 def _graph_from_half_edges(n, lo, hi) -> Graph:
-    # assumes lo < hi elementwise, no duplicates: one sort of the half-edge
-    # keys src * n + dst orders the CSR by (src, dst)
+    # assumes n <= MAX_VERTICES, lo < hi elementwise, no duplicates: one sort
+    # of the half-edge keys src * n + dst orders the CSR by (src, dst)
     key = np.concatenate([lo * n + hi, hi * n + lo])
     key.sort()
     src, dst = np.divmod(key, max(n, 1))
     indptr = np.zeros(n + 1, dtype=np.int64)
     np.cumsum(np.bincount(src, minlength=n), out=indptr[1:])
-    return Graph(n, indptr, dst.astype(np.int32 if n < 2**31 else np.int64))
+    return Graph(n, indptr, dst.astype(np.int32))
 
 
 @dataclass
@@ -330,34 +330,27 @@ def girth(g: Graph):
 
 
 def shortest_cycle_through(g: Graph, v: int):
-    """Shortest cycle containing v: returns (length, cycle) or (inf, None).
-
-    One BFS from v marks each vertex with the neighbour of v its tree path
-    starts with.  An edge (x, y) between different marks closes a cycle,
-    v..x y..v, of length dist(x) + dist(y) + 1; the marks change along any
-    cycle through v at an edge closing one no longer, so the shortest
-    closure is the answer."""
+    """Shortest cycle containing v: returns (length, cycle) or (inf, None),
+    the cycle starting at v.  Per neighbour w, one :func:`_hop_distances`
+    search from v on the CSR without the edge (v, w); if it reaches w, the
+    walk back from w steps to a neighbour one hop nearer v each time, never
+    along (v, w), as dist[w] >= 2."""
     if not 0 <= v < g.n:
         raise ValueError(f"vertex {v} out of range")
-    adj = g.adjacency_lists()
-    dist, parent, mark = {v: 0}, {v: v}, {v: v}
-    order = [v]
-    for x in order:                 # BFS: the loop reads what it appends
-        for y in adj[x]:
-            if y not in dist:
-                dist[y], parent[y] = dist[x] + 1, x
-                mark[y] = y if x == v else mark[x]
-                order.append(y)
-    closures = [(dist[x] + dist[y] + 1, x, y) for x in order for y in adj[x]
-                if v not in (x, y) and mark[x] != mark[y]]
-    if not closures:
-        return INFINITE_GIRTH, None
-    length, x, y = min(closures)
-    paths = [[x], [y]]
-    for path in paths:
-        while path[-1] != v:
-            path.append(parent[path[-1]])
-    return length, paths[0][::-1] + paths[1][:-1]
+    src = np.repeat(np.arange(g.n), g.degrees())
+    length, cycle = INFINITE_GIRTH, None
+    for w in g.neighbors(v).tolist():
+        keep = ((src != v) | (g.indices != w)) & ((src != w) | (g.indices != v))
+        indptr = np.zeros_like(g.indptr)
+        np.cumsum(np.bincount(src[keep], minlength=g.n), out=indptr[1:])
+        dist = _hop_distances(indptr, g.indices[keep], [v])
+        if 0 < dist[w] < length - 1:
+            path = [w]
+            while path[-1] != v:
+                nbrs = g.neighbors(path[-1])
+                path.append(int(nbrs[dist[nbrs] == dist[path[-1]] - 1][0]))
+            length, cycle = len(path), [v] + path[:-1]
+    return length, cycle
 
 
 @dataclass

@@ -18,8 +18,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .graphs import (ConstructionError, Graph, _hop_distances, _neighbours,
-                     ball, bfs_distances, girth, is_regular)
+from .graphs import (MAX_VERTICES, ConstructionError, Graph, _hop_distances,
+                     _neighbours, ball, bfs_distances, girth, is_regular)
 from .pairing import (_SwapState, _attach_tree, _run_swaps, girth_required,
                       girth_target)
 from .trees import interior_size, radial_spectrum, tree_size
@@ -205,9 +205,12 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
 
 def multi_glue(h: Graph, k_sites: int, r: int, seed: int = 0) -> ScarredGraph:
     """Carve and glue k sites rooted at a greedy packing of pairwise
-    distance >= 4r+1; zero sites returns the base unchanged."""
+    distance >= 4r+1; zero sites returns the base unchanged.  For any k, r
+    must lie in [0, MAX_VERTICES' bit length), as sites grow like d^r."""
     if k_sites < 0:
         raise ValueError("site count must be nonnegative")
+    if not 0 <= r < MAX_VERTICES.bit_length():
+        raise ValueError(f"r must lie in [0, {MAX_VERTICES.bit_length()})")
     deg = is_regular(h)
     if deg is None or deg < 3:
         raise ValueError("base graph must be (d+1)-regular with d >= 2")

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigh_tridiagonal
 
-from .graphs import Graph, _graph_from_half_edges
+from .graphs import MAX_VERTICES, Graph, _graph_from_half_edges
 
 
 def level_sizes(d: int, depth: int) -> list:
@@ -65,6 +65,9 @@ def build_dary_tree(d: int, depth: int) -> DaryTree:
         raise ValueError("branching d must be at least 2")
     if depth < 0:
         raise ValueError("depth must be nonnegative")
+    # levels at least double, so a depth of MAX_VERTICES' bit length never fits
+    if depth >= MAX_VERTICES.bit_length() or tree_size(d, depth) > MAX_VERTICES:
+        raise ValueError(f"depth {depth} gives more than {MAX_VERTICES} vertices")
     levels, parent = tree_layout(d, depth)
     n = len(parent) + 1
     g = _graph_from_half_edges(n, parent, np.arange(1, n))
@@ -89,7 +92,7 @@ def quotient_matrix(d: int, depth: int) -> np.ndarray:
 
 def _symmetrized_offdiag(d: int, depth: int) -> np.ndarray:
     # conjugating by diag(sqrt(level size)) makes the quotient symmetric
-    return np.array([np.sqrt(d + 1)] + [np.sqrt(d)] * (depth - 1))
+    return np.sqrt([d + 1] + [d] * (depth - 1))[:depth]
 
 
 @dataclass
@@ -120,8 +123,6 @@ def radial_spectrum(d: int, depth: int) -> RadialSpectrum:
     """
     if d < 2:
         raise ValueError("branching d must be at least 2")
-    if depth == 0:
-        return RadialSpectrum(0, np.zeros(1), np.ones((1, 1)))
     w, vecs = eigh_tridiagonal(np.zeros(depth + 1), _symmetrized_offdiag(d, depth))
     sq = np.sqrt(np.array(level_sizes(d, depth), dtype=float))
     profiles = (vecs / sq[:, None]).T

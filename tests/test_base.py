@@ -7,8 +7,8 @@ from scargraph import base
 from scargraph.base import (LpsParams, generator_matrices, legendre_symbol,
                             load_graph, lps_graph, quaternion_generators,
                             validate_base)
-from scargraph.graphs import MAX_VERTICES, girth, is_bipartite, \
-    is_connected, is_regular, save_edge_list
+from scargraph.graphs import MAX_VERTICES, build_graph, girth, \
+    is_bipartite, is_connected, is_regular, save_edge_list
 from scargraph.named import cycle_graph, path_graph
 
 
@@ -143,6 +143,18 @@ class TestValidateBase:
         data = json.loads(report.to_json())
         assert data["girth"] is None and data["girth_ok_for_r"] is None
         assert not report.checks["regular_d_plus_1"]
+
+    def test_disconnected_lambda2_is_null(self):
+        # two components: lambda2 is not measured, and the JSON is strict
+        report = validate_base(build_graph(4, [(0, 1), (2, 3)]), 1, 1)
+        assert report.lambda2_abs == math.inf
+        data = json.loads(report.to_json(), parse_constant=_reject)
+        assert data["lambda2_abs"] is None
+        assert not data["checks"]["connected"]
+
+
+def _reject(token):
+    raise ValueError(f"non-JSON token {token}")
 
 
 class TestLoadGraph:

@@ -356,6 +356,28 @@ class TestZeroSites:
         assert [it.name for it in report.items if not it.ok] == \
             ["effective_alpha"]
 
+    @pytest.mark.parametrize("r", [-1, 27], ids=["negative", "refused"])
+    def test_depth_multi_glue_refuses_has_no_alpha(self, mcgee, r):
+        # even with alpha set to r log d / log m, as the certificate of a
+        # zero-site glue at this r would have recorded it
+        sg = multi_glue(mcgee, 0, 1)
+        data = build_certificate(sg).to_dict()
+        data.update(r=r, effective_alpha=r * math.log(2) / math.log(24))
+        report = verify_certificate(sg.graph, Certificate.from_dict(data))
+        assert [it.name for it in report.items if not it.ok] == \
+            ["effective_alpha"]
+
+
+def test_to_json_refuses_non_finite_numbers(mcgee):
+    cert = build_certificate(multi_glue(mcgee, 0, 1))
+    json.loads(cert.to_json(), parse_constant=_reject)
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        dataclasses.replace(cert, effective_alpha=math.inf).to_json()
+
+
+def _reject(token):
+    raise ValueError(f"non-JSON token {token}")
+
 
 @pytest.mark.parametrize("value", [None, "0.5", [0.5]])
 def test_non_numeric_value_fails_its_record(mcgee_sg, value):

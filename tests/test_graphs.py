@@ -154,6 +154,31 @@ class TestShortestCycleThrough:
             if gv < INF:
                 assert min(lengths) == gv
 
+    @settings(max_examples=300, deadline=None)
+    @given(small_graphs(), st.data())
+    def test_matches_networkx(self, g, data):
+        # oracle: min over the edges (v, w) of 1 + dist(v, w) in G - (v, w)
+        if g.n == 0:
+            return
+        v = data.draw(st.integers(0, g.n - 1))
+        G = to_networkx(g)
+        lengths = []
+        for w in list(G[v]):
+            G.remove_edge(v, w)
+            if nx.has_path(G, v, w):
+                lengths.append(1 + nx.shortest_path_length(G, v, w))
+            G.add_edge(v, w)
+        length, cyc = shortest_cycle_through(g, v)
+        assert length == min(lengths, default=INF)
+        if cyc is not None:
+            assert cyc[0] == v and len(set(cyc)) == len(cyc) == length
+            assert all(G.has_edge(a, b) for a, b in zip(cyc, cyc[1:] + cyc[:1]))
+
+    def test_lps_vertex_transitive_girth_nine(self, lps_h):
+        for v in np.random.default_rng(0).choice(lps_h.n, 5, replace=False):
+            length, cyc = shortest_cycle_through(lps_h, int(v))
+            assert length == 9 and cyc[0] == v and len(set(cyc)) == 9
+
 
 class TestBall:
     def test_cycle_radius_three_is_path(self):

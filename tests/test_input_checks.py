@@ -1,16 +1,25 @@
 """The input checks of the CLI and the library: each bad input is refused
 with its message, and the CLI exits 2 without a traceback."""
 
+import tracemalloc
+
+import numpy as np
 import pytest
 
-from scargraph.base import legendre_symbol
+from scargraph.base import LpsParams, legendre_symbol
 from scargraph.cli import main
-from scargraph.graphs import (build_graph, bfs_distances, is_regular,
-                              shortest_cycle_through, vertex_expansion)
-from scargraph.named import cycle_graph
+from scargraph.graphs import (MAX_VERTICES, build_graph, bfs_distances,
+                              is_regular, shortest_cycle_through,
+                              vertex_expansion)
+from scargraph.named import complete_graph, cycle_graph, random_regular_graph
+from scargraph.pairing import path_count_cumulative, path_count_total
+from scargraph.qe import partial_localization, qe_average, scarring_witness
 from scargraph.scars import carve_site, glue, greedy_packing, multi_glue
-from scargraph.spectral import extreme_eigenvalues, kahale_instance
-from scargraph.trees import interior_size
+from scargraph.spectral import (extreme_eigenvalues, kahale_check,
+                                kahale_instance, tree_quadratic_bound_check)
+from scargraph.trees import (build_dary_tree, interior_size,
+                             level_mass_profile, quotient_matrix,
+                             radial_spectrum)
 
 
 def _exit_two(capsys, argv, message):
@@ -71,6 +80,75 @@ class TestGraphChecks:
         with pytest.raises(ValueError, match="empty graph"):
             extreme_eigenvalues(build_graph(0, []))
 
+    def test_two_vertex_cycle(self):
+        with pytest.raises(ValueError, match="at least 3 vertices"):
+            cycle_graph(2)
+
+    @pytest.mark.parametrize("n,degree,message", [
+        (5, 3, "n \\* degree must be even"),
+        (4, 4, "degree must be below n"),
+    ])
+    def test_random_regular_graph(self, n, degree, message):
+        with pytest.raises(ValueError, match=message):
+            random_regular_graph(n, degree)
+
+    def test_lps_p_one_is_not_prime(self):
+        with pytest.raises(ValueError, match="p = 1 must be a prime"):
+            LpsParams(1, 29)
+
+
+class TestTreeChecks:
+    def test_path_counts(self):
+        with pytest.raises(ValueError, match="s must be at least 1"):
+            path_count_total(2, 0)
+        with pytest.raises(ValueError, match="k must be nonnegative"):
+            path_count_cumulative(2, -1)
+
+    def test_negative_depth(self):
+        with pytest.raises(ValueError, match="depth must be nonnegative"):
+            build_dary_tree(2, -1)
+
+    @pytest.mark.parametrize("depth", [25, 40, 10 ** 9])
+    def test_tree_above_max_vertices(self, depth):
+        # refused before any level or id array is laid out
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match=f"more than {MAX_VERTICES}"):
+                build_dary_tree(2, depth)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
+
+    def test_branching_one(self):
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            quotient_matrix(1, 3)
+        with pytest.raises(ValueError, match="d must be at least 2"):
+            radial_spectrum(1, 3)
+
+    def test_vector_length(self):
+        tree = build_dary_tree(2, 2)
+        with pytest.raises(ValueError, match="length must match tree size"):
+            tree_quadratic_bound_check(tree, np.ones(tree.graph.n - 1))
+        with pytest.raises(ValueError, match="length must match tree size"):
+            level_mass_profile(np.ones(tree.graph.n + 1), tree)
+
+
+class TestQeChecks:
+    def test_scarring_witness_length(self):
+        with pytest.raises(ValueError, match="on all M vertices"):
+            scarring_witness(np.ones(3) / np.sqrt(3), [0], 4)
+
+    def test_qe_average_shape(self):
+        with pytest.raises(ValueError, match="full M x M"):
+            qe_average(np.eye(3)[:, :2], np.zeros(3))
+
+    @pytest.mark.parametrize("eps", [0.0, -0.5, 1.5])
+    def test_partial_localization_eps(self, mcgee_sg, eps):
+        with pytest.raises(ValueError, match=r"eps must lie in \(0, 1\]"):
+            partial_localization(np.zeros(mcgee_sg.graph.n),
+                                 mcgee_sg.sites[0], eps)
+
 
 class TestScarsChecks:
     def test_greedy_packing_min_dist(self, mcgee):
@@ -85,6 +163,12 @@ class TestScarsChecks:
     def test_negative_site_count(self, mcgee):
         with pytest.raises(ValueError, match="site count must be nonnegative"):
             multi_glue(mcgee, -1, 1)
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("r", [-1, MAX_VERTICES.bit_length(), 10 ** 400])
+    def test_depth_out_of_range(self, mcgee, k, r):
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 27\)"):
+            multi_glue(mcgee, k, r)
 
     def test_cycle_base_refused(self):
         # a 2-regular base has d = 1
@@ -102,6 +186,12 @@ class TestKahaleInstanceChecks:
     def test_too_few_s_values(self, mcgee):
         with pytest.raises(ValueError, match="need s values for layers 0..h"):
             kahale_instance(mcgee, [0], 2, [1.0, 1.0], 1.0)
+
+    def test_empty_layer(self):
+        # K4 has diameter 1, so layer 2 around a vertex is empty
+        inst = kahale_instance(complete_graph(4), [0], 2, [1.0] * 3, 1.0)
+        with pytest.raises(ValueError, match="some layer up to h is empty"):
+            kahale_check(complete_graph(4), inst)
 
 
 class TestDegenerateValues:
