@@ -15,7 +15,7 @@ import numpy as np
 from .graphs import MAX_VERTICES, Graph, girth, is_regular
 from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
-from .scars import ScarredGraph, localized_eigenvector
+from .scars import ScarredGraph, _check_depth, localized_eigenvector
 from .spectral import extreme_eigenvalues, norm2, residual, spectral_threshold
 from .trees import interior_size, radial_spectrum
 
@@ -173,7 +173,9 @@ def _derived_fields(d: int, r: int, k: int, M: int, m: int):
 
 def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
     """Measure every certified quantity of a scarred graph; failures are
-    recorded in the checks map, never raised."""
+    recorded in the checks map, never raised.  A depth r that multi_glue
+    refuses raises its ValueError."""
+    _check_depth(sg.r)
     g = sg.graph
     d, r, k = sg.d, sg.r, len(sg.sites)
     M, m = g.n, sg.base_size

@@ -11,13 +11,16 @@ immutable after construction, so all queries are safe to run concurrently.
 
 Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
 :func:`shortest_cycle_through`, the layers around a vertex set, site
-packing, the swap engine's partner search) come from one frontier kernel,
-:func:`_hop_distances`: a level-synchronous BFS from a set of sources over
-raw CSR arrays, one whole level at a time.  The swap engine's two cycle
-searches through a movable edge stay apart on measurement (median per
-call on the shortest-cycle edges of the pairing grid's (4, 5) and (4, 6)
-cells: ``_cycle_through_edge`` 0.12-0.14 ms, ``_hop_distances`` 0.28-0.52
-ms, a one-edge ``_batched_cycle_scan`` 0.39-1.03 ms).
+packing) come from one frontier kernel, :func:`_hop_distances`: a
+level-synchronous BFS from a set of sources over raw CSR arrays, one whole
+level at a time.  It is the only BFS over a :class:`Graph`.  The swap
+engine's mutable state (``pairing._SwapState``) keeps a padded neighbour
+table instead of a CSR and runs its own BFS on it: the partner search,
+with this kernel's level de-duplication, and a bidirectional cycle search
+through a movable edge.  Mean per call over the pairing grid d 2-4, D 1-6
+(2-core VM): ``_cycle_through_edge`` 0.013 ms (1427 calls), the partner
+search 0.11 ms (682 calls), where a one-sided cycle search took 0.049 ms
+and a ``_hop_distances`` partner search 0.195 ms.
 
 Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
 kernel that counts non-backtracking walks for a chunk of sources at once,

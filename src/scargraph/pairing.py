@@ -21,8 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .graphs import (MAX_VERTICES, ConstructionError, Graph, _hop_distances,
-                     build_graph)
+from .graphs import MAX_VERTICES, ConstructionError, Graph, build_graph
 from .trees import interior_size, tree_layout, tree_size
 
 _BIG = 10 ** 9
@@ -95,24 +94,37 @@ def girth_required(d: int, r: int) -> int:
 # -- mutable swap state --------------------------------------------------------
 
 class _SwapState:
-    """Adjacency under swaps, kept once, as CSR arrays (v's neighbours in
-    the order its edges were given), which the partner search and
-    _batched_cycle_scan read.  ``lists[v]`` is v's row as a memoryview slice
-    of ``indices``: _cycle_through_edge iterates it, _replace writes through
-    it.  A swap replaces one neighbour entry by another, so degrees and
-    ``indptr`` never change."""
+    """Adjacency under swaps, kept once, as a padded neighbour table: row v
+    of ``table`` lists v's neighbours in the order its edges were given,
+    then the sentinel n up to the largest degree, and row n is all
+    sentinel, so a gather of whole rows needs no lengths.  ``lists[v]`` is
+    v's row without its padding, as a memoryview slice of the table:
+    _cycle_through_edge iterates it, _replace writes through it.  A swap
+    replaces one neighbour entry by another, so degrees and the CSR offsets
+    ``indptr`` never change; ``indices`` is read off the table."""
 
     def __init__(self, n: int, edges):
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         # the half-edges interleaved, u0 -> v0, v0 -> u0, u1 -> v1, ...: a
         # stable sort by tail lists each vertex's neighbours in edge order
         tails, heads = e.ravel(), e[:, ::-1].ravel()
+        deg = np.bincount(tails, minlength=n)
         self.n = n
         self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(tails, minlength=n), out=self.indptr[1:])
-        self.indices = heads[np.argsort(tails, kind="stable")]
-        rows, ptr = memoryview(self.indices), self.indptr.tolist()
-        self.lists = [rows[a:b] for a, b in zip(ptr, ptr[1:])]
+        np.cumsum(deg, out=self.indptr[1:])
+        width = int(deg.max(initial=0))
+        self.table = np.full((n + 1, width), n, dtype=np.int64)
+        # a row-major boolean mask fills each row's first deg entries
+        self.table[:-1][np.arange(width) < deg[:, None]] = \
+            heads[np.argsort(tails, kind="stable")]
+        flat = memoryview(self.table.reshape(-1))
+        self.lists = [flat[v * width:v * width + k]
+                      for v, k in enumerate(deg.tolist())]
+
+    @property
+    def indices(self) -> np.ndarray:
+        rows = self.table[:-1]
+        return rows[rows < self.n]
 
     def _replace(self, u: int, old: int, new: int):
         row = self.lists[u]
@@ -125,32 +137,68 @@ class _SwapState:
         self._replace(px, x, y)
         self._replace(py, y, x)
 
+    def within(self, x: int, points: np.ndarray, radii) -> list:
+        """The masks of ``points`` within each of the ascending ``radii`` of
+        x, from one BFS on the table.  Each level but the last, which only
+        marks, is de-duplicated as in _hop_distances; the sentinel starts
+        visited, so the padding drops out."""
+        seen = np.zeros(self.n + 1, dtype=bool)
+        seen[[x, self.n]] = True
+        slot = np.empty(self.n, dtype=np.int64)
+        frontier, level, out = np.array([x]), 0, []
+        for radius in radii:
+            while level < radius and frontier.size:
+                nbrs = self.table[frontier].ravel()
+                level += 1
+                if level == radii[-1]:
+                    seen[nbrs] = True  # the last level needs no frontier
+                    break
+                nbrs = nbrs[~seen[nbrs]]
+                pos = np.arange(len(nbrs))
+                slot[nbrs] = pos
+                frontier = nbrs[slot[nbrs] == pos]
+                seen[frontier] = True
+            out.append(seen[points])
+        return out
+
     def to_graph(self) -> Graph:
-        tails = np.repeat(np.arange(self.n), np.diff(self.indptr))
-        keep = tails < self.indices
-        return build_graph(self.n, np.column_stack([tails, self.indices])[keep])
+        rows = self.table[:-1]
+        tails = np.broadcast_to(np.arange(self.n)[:, None], rows.shape)
+        keep = (tails < rows) & (rows < self.n)
+        return build_graph(self.n, np.column_stack([tails[keep], rows[keep]]))
 
 
 def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
     """Shortest cycle length through the edge (x, parent), or a big value if
-    it exceeds ``cutoff``.  Equals 1 + dist(x, parent) with the edge removed."""
+    it exceeds ``cutoff``.  Equals 1 + dist(x, parent) with the edge removed.
+
+    A bidirectional BFS: one side grows from x, the other from parent, and
+    neither crosses the edge.  After both roots' first step, each step
+    grows the smaller frontier by one whole level.  The sides are the balls
+    of radii la and lb in the graph without the edge, and they are
+    disjoint exactly while dist > la + lb; so the first step that reaches
+    the other side closes a path of length la + lb + 1 (la, lb before the
+    step), a shortest one, and the cycle is one longer."""
     if cutoff < 3:
         return _BIG
-    dist = {x: 0}
-    q = []
-    for w in lists[x]:
-        if w != parent and w not in dist:
-            dist[w] = 1
-            q.append(w)
-    limit = cutoff - 2
-    for w in q:  # breadth first: q grows while it is walked
-        dw = dist[w]
-        for z in lists[w]:
-            if z == parent:
-                return dw + 2
-            if dw < limit and z not in dist:
-                dist[z] = dw + 1
-                q.append(z)
+    front = [[w for w in lists[x] if w != parent],
+             [w for w in lists[parent] if w != x]]
+    seen = [{x, *front[0]}, {parent, *front[1]}]
+    if not seen[0].isdisjoint(front[1]):
+        return 3
+    for length in range(4, cutoff + 1):
+        s = len(front[1]) < len(front[0])
+        mine, other, nxt = seen[s], seen[not s], []
+        for u in front[s]:
+            for w in lists[u]:
+                if w in other:
+                    return length
+                if w not in mine:
+                    mine.add(w)
+                    nxt.append(w)
+        if not nxt:
+            return _BIG
+        front[s] = nxt
     return _BIG
 
 
@@ -190,11 +238,11 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
     order = np.argsort(-deg, kind="stable")
     new = np.empty(n, dtype=np.int64)
     new[order] = np.arange(n)
-    start, cols = indptr[order], []
+    cols = []
     table = np.full((width, n), n, dtype=np.int64)
     for c in range(width):
         k = np.count_nonzero(deg > c)
-        table[c, :k] = new[state.indices[start[:k] + c]]
+        table[c, :k] = new[state.table[order[:k], c]]
         cols.append(table[c, :k])
     pts, pars = new[points], new[parents]
     block = 64 * min(_BLOCK_WORDS, (npts + 63) // 64)
@@ -252,6 +300,9 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     only when neither rewired edge carries a cycle of length <= g afterwards.
     When even that stalls, the engine stops and reports honestly.  More than
     10 swaps per point (plus 1000) is a runaway search and raises.
+    Per candidate, _cycle_through_edge checks whether an earlier swap
+    already cleared it, and one ``state.within`` BFS reads the points within
+    guaranteed-2 and target-1 (callers keep guaranteed <= target).
     """
     npts = len(points)
     max_swaps = 10 * npts + 1000
@@ -281,12 +332,11 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             if clear(i, g):
                 continue  # an earlier swap in this pass already fixed it
             # far partner: nothing within distance target-1 of points[i]
-            dist = _hop_distances(state.indptr, state.indices, [points[i]],
-                                  target - 1)[points]
-            far = np.nonzero(dist < 0)[0]
+            inner, near = state.within(points[i], points,
+                                       [guaranteed - 2, target - 1])
+            far = np.flatnonzero(~near)
             if not far.size and g < guaranteed:
-                # guaranteed-2 < target-1, so the capped distances see past it
-                far = np.nonzero(dist > guaranteed - 2)[0]
+                far = np.flatnonzero(~inner)
                 if not far.size:
                     raise ConstructionError(
                         f"no partner beyond distance {guaranteed - 2} at "

@@ -203,14 +203,19 @@ def _glue_once(h: Graph, sites, d: int, r: int, seed: int) -> ScarredGraph:
     return ScarredGraph(g, h.n, d, r, out_sites, seed, [seed], int(measured))
 
 
+def _check_depth(r: int):
+    """Refuse a site depth r outside [0, MAX_VERTICES' bit length)."""
+    if not 0 <= r < MAX_VERTICES.bit_length():
+        raise ValueError(f"r must lie in [0, {MAX_VERTICES.bit_length()})")
+
+
 def multi_glue(h: Graph, k_sites: int, r: int, seed: int = 0) -> ScarredGraph:
     """Carve and glue k sites rooted at a greedy packing of pairwise
     distance >= 4r+1; zero sites returns the base unchanged.  For any k, r
     must lie in [0, MAX_VERTICES' bit length), as sites grow like d^r."""
     if k_sites < 0:
         raise ValueError("site count must be nonnegative")
-    if not 0 <= r < MAX_VERTICES.bit_length():
-        raise ValueError(f"r must lie in [0, {MAX_VERTICES.bit_length()})")
+    _check_depth(r)
     deg = is_regular(h)
     if deg is None or deg < 3:
         raise ValueError("base graph must be (d+1)-regular with d >= 2")

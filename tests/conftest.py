@@ -104,3 +104,27 @@ def min_support_reference(v, eps):
     k = min(int(np.searchsorted(np.cumsum(w[order]), eps - 1e-12)) + 1,
             len(w))
     return k, order[:k]
+
+
+def cycle_through_edge_reference(lists, x, parent, cutoff):
+    """1 + dist(x, parent) without the edge (x, parent), or pairing._BIG
+    above ``cutoff``: a one-sided BFS from x, kept as the oracle of the
+    bidirectional _cycle_through_edge."""
+    from scargraph.pairing import _BIG
+    if cutoff < 3:
+        return _BIG
+    dist = {x: 0}
+    q = []
+    for w in lists[x]:
+        if w != parent and w not in dist:
+            dist[w] = 1
+            q.append(w)
+    for w in q:  # breadth first: q grows while it is walked
+        dw = dist[w]
+        for z in lists[w]:
+            if z == parent:
+                return dw + 2
+            if dw < cutoff - 2 and z not in dist:
+                dist[z] = dw + 1
+                q.append(z)
+    return _BIG

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from scargraph.base import LpsParams, legendre_symbol
+from scargraph.certificate import build_certificate
 from scargraph.cli import main
 from scargraph.graphs import (MAX_VERTICES, build_graph, bfs_distances,
                               is_regular, shortest_cycle_through,
@@ -14,7 +15,8 @@ from scargraph.graphs import (MAX_VERTICES, build_graph, bfs_distances,
 from scargraph.named import complete_graph, cycle_graph, random_regular_graph
 from scargraph.pairing import path_count_cumulative, path_count_total
 from scargraph.qe import partial_localization, qe_average, scarring_witness
-from scargraph.scars import carve_site, glue, greedy_packing, multi_glue
+from scargraph.scars import (ScarredGraph, carve_site, glue, greedy_packing,
+                             multi_glue)
 from scargraph.spectral import (extreme_eigenvalues, kahale_check,
                                 kahale_instance, tree_quadratic_bound_check)
 from scargraph.trees import (build_dary_tree, interior_size,
@@ -169,6 +171,13 @@ class TestScarsChecks:
     def test_depth_out_of_range(self, mcgee, k, r):
         with pytest.raises(ValueError, match=r"r must lie in \[0, 27\)"):
             multi_glue(mcgee, k, r)
+
+    @pytest.mark.parametrize("r", [-1, MAX_VERTICES.bit_length(), 10 ** 400])
+    def test_certificate_depth_out_of_range(self, mcgee, r):
+        # a ScarredGraph built by hand, past multi_glue's depth check
+        sg = ScarredGraph(mcgee, mcgee.n, 2, r, [], 0, [0], None)
+        with pytest.raises(ValueError, match=r"r must lie in \[0, 27\)"):
+            build_certificate(sg)
 
     def test_cycle_base_refused(self):
         # a 2-regular base has d = 1

@@ -9,13 +9,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import cycle_through_edge_reference
 from scargraph.certificate import girth_required
-from scargraph.graphs import MAX_VERTICES, build_graph, girth
+from scargraph.graphs import MAX_VERTICES, _hop_distances, build_graph, girth
 from scargraph.pairing import (_BIG, _SwapState, _attach_tree,
                                _batched_cycle_scan, _cycle_through_edge,
-                               _run_swaps, guaranteed_girth, pair_trees,
-                               path_count_cumulative, path_count_exact,
-                               path_count_total)
+                               _run_swaps, girth_target, guaranteed_girth,
+                               pair_trees, path_count_cumulative,
+                               path_count_exact, path_count_total)
 from scargraph.trees import tree_layout
 
 
@@ -270,6 +271,22 @@ def scan_inputs(draw):
             np.array([q for _, q in pairs], dtype=np.int64))
 
 
+class TestCycleThroughEdge:
+    """The bidirectional search against the one-sided BFS it replaced, on
+    every edge of scan_inputs' graphs (a random forest with extra edges,
+    a pendant edge and a disjoint cycle), both ways round."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_matches_one_sided_bfs(self, inputs):
+        state = inputs[0]
+        edges = [(u, v) for u in range(state.n) for v in state.lists[u]]
+        for cutoff in range(13):
+            for x, p in edges:
+                assert _cycle_through_edge(state.lists, x, p, cutoff) == \
+                    cycle_through_edge_reference(state.lists, x, p, cutoff)
+
+
 @st.composite
 def block_scan_inputs(draw):
     """Point counts around the 256-source block boundaries on a graph of
@@ -410,3 +427,63 @@ class TestSwapState:
         assert g.n == expected.n
         assert np.array_equal(g.indptr, expected.indptr)
         assert np.array_equal(g.indices, expected.indices)
+
+
+class TestPartnerSearch:
+    """_SwapState.within against _hop_distances far sets on the graph of
+    the edges the test tracks, before and after exchanges, so the table
+    must stay in sync with the swaps, ``lists`` and ``indices``."""
+
+    @staticmethod
+    def assert_within_matches(state, current, radii):
+        n = state.n
+        g = build_graph(n, sorted(tuple(sorted(e)) for e in current))
+        points = np.arange(n)[::-1]
+        for x in range(n):
+            got = state.within(x, points, radii)
+            for radius, mask in zip(radii, got):
+                for indptr, indices in [(g.indptr, g.indices),
+                                        (state.indptr, state.indices)]:
+                    dist = _hop_distances(indptr, indices, [x], radius)
+                    assert mask.tolist() == (dist[points] >= 0).tolist()
+
+    @settings(max_examples=150, deadline=None)
+    @given(swap_inputs(), st.integers(0, 6), st.integers(0, 6))
+    def test_within_matches_hop_distances(self, inputs, a, b):
+        n, edges, swaps = inputs
+        radii = sorted([a, b])
+        state = _SwapState(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
+        current = {frozenset(e) for e in edges}
+        self.assert_within_matches(state, current, radii)
+        ends = [tuple(e) for e in edges]
+        for i, j in swaps:
+            (x, px), (y, py) = ends[i], ends[j]
+            new = {frozenset((x, py)), frozenset((y, px))}
+            if len({x, px, y, py}) < 4 or new & current:
+                continue
+            state.exchange_parents(x, y, px, py)
+            current -= {frozenset((x, px)), frozenset((y, py))}
+            current |= new
+            ends[i], ends[j] = (x, py), (y, px)
+            self.assert_within_matches(state, current, radii)
+
+    @pytest.mark.parametrize("d,D,seed", [(2, 5, 0), (3, 4, 1), (4, 3, 2)])
+    def test_double_tree_radii_after_swaps(self, d, D, seed):
+        # the state pair_trees swaps on, its partner radii guaranteed-2 and
+        # target-1, checked from every point after the engine has run
+        levels, parent = tree_layout(d, D)
+        points = levels[-1]
+        t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
+        t2, slots, t2p, _, total = _attach_tree(
+            d, D, points, len(parent) + 1, np.random.default_rng(seed))
+        state = _SwapState(total, np.concatenate([t1, t2]))
+        n = len(points)
+        target, guaranteed = girth_target(d, n), guaranteed_girth(d, n)
+        res = _run_swaps(state, points, slots, t2p, target, guaranteed)
+        assert res.swaps > 0
+        g = state.to_graph()
+        for x in points:
+            inner, near = state.within(x, points, [guaranteed - 2, target - 1])
+            for radius, mask in [(guaranteed - 2, inner), (target - 1, near)]:
+                dist = _hop_distances(g.indptr, g.indices, [x], radius)
+                assert np.array_equal(mask, dist[points] >= 0)
