@@ -208,9 +208,15 @@ _BLOCK_WORDS = 4
 
 
 def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
-                        parents: np.ndarray, cutoff: int) -> np.ndarray:
+                        parents: np.ndarray, cutoff: int,
+                        shrink: bool = False) -> np.ndarray:
     """Cycle length through each movable edge (points[i], parents[i]), with
     lengths above ``cutoff`` reported as _BIG.
+
+    With ``shrink`` only the minimum and the indices at it are exact, as in
+    graphs._first_cycle_lengths: a block stops at its first step that
+    closes cycles, all recorded, and their length becomes the cutoff of
+    later blocks, which still find every edge at that length or below.
 
     A bit-parallel BFS runs from a block of up to 256 points at once (Then
     et al., VLDB 2014): source i of the block owns bit i % 64 of word
@@ -236,14 +242,10 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
     if cutoff < 3 or not npts or not width:
         return out
     order = np.argsort(-deg, kind="stable")
-    new = np.empty(n, dtype=np.int64)
+    new = np.full(n + 1, n, dtype=np.int64)     # the sentinel n stays n
     new[order] = np.arange(n)
-    cols = []
-    table = np.full((width, n), n, dtype=np.int64)
-    for c in range(width):
-        k = np.count_nonzero(deg > c)
-        table[c, :k] = new[state.table[order[:k], c]]
-        cols.append(table[c, :k])
+    table = np.ascontiguousarray(new.take(state.table.take(order, axis=0)).T)
+    cols = [table[c, :np.count_nonzero(deg > c)] for c in range(width)]
     pts, pars = new[points], new[parents]
     block = 64 * min(_BLOCK_WORDS, (npts + 63) // 64)
     src = np.arange(block)
@@ -273,6 +275,9 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
             unvisited ^= nxt
             hit = (res == _BIG) & ((nxt[q, w] & b) != 0)
             res[hit] = dist + 1
+            if shrink and hit.any():
+                cutoff = dist + 1
+                break
             if (res < _BIG).all() or not nxt.any():
                 break
             front, nxt = nxt, front
@@ -285,6 +290,7 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
 class _EngineResult:
     swaps: int
     stalled: bool          # stopped at a local optimum short of the target
+    shortest: int | None   # of the last scan; None if nothing was scanned
 
 
 def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
@@ -303,12 +309,17 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     Per candidate, _cycle_through_edge checks whether an earlier swap
     already cleared it, and one ``state.within`` BFS reads the points within
     guaranteed-2 and target-1 (callers keep guaranteed <= target).
+
+    A pass reads only the shortest cycle g through a movable edge and the
+    edges at g, so its scan shrinks and needs no cap: the cutoff falls to
+    g at the first block that closes a cycle.  ``shortest`` is the last
+    scan's g, exact, as no swap follows it.
     """
     npts = len(points)
     max_swaps = 10 * npts + 1000
     if len(np.unique(slot_parent)) <= 1:
         # all leaves hang off one parent: every assignment is the same graph
-        return _EngineResult(0, False)
+        return _EngineResult(0, False, None)
     swaps = 0
 
     def do_swap(i, j):
@@ -322,11 +333,11 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
                                    int(slot_parent[slots[i]]), g) > g
 
     while True:
-        parents = slot_parent[slots]
-        c = _batched_cycle_scan(state, points, parents, target - 1)
+        c = _batched_cycle_scan(state, points, slot_parent[slots], state.n,
+                                shrink=True)
         g = int(c.min())
         if g >= target:
-            return _EngineResult(swaps, False)
+            return _EngineResult(swaps, False, g)
         before = swaps
         for i in np.nonzero(c == g)[0]:
             if clear(i, g):
@@ -356,7 +367,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             if swaps > max_swaps:
                 raise ConstructionError("swap budget exhausted; not terminating")
         if swaps == before:
-            return _EngineResult(swaps, True)
+            return _EngineResult(swaps, True, g)
 
 
 # -- gluing two trees ----------------------------------------------------------
@@ -412,12 +423,15 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     girth_target(d, n), floor(2 log_{2d-1}(n-1)) + 2 rounded up to even.
     The girth enforced is guaranteed_girth(d, n), 2 floor(log_{2d-1}(n-1))
     + 2, which the path-count bound promises and which can be smaller.
-    The girth, from one uncapped _batched_cycle_scan of the final state, is
-    exact: T1 and T2's interior are trees, so each cycle has a movable edge."""
+    The girth is the swap engine's last shortest cycle through a movable
+    edge, which is exact: T1 and T2's interior are trees, so each cycle has
+    a movable edge, and no swap follows that scan."""
     if d < 2:
         raise ValueError("branching d must be at least 2")
     if depth < 1:
         raise ValueError("depth must be at least 1")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     # levels at least double, so a depth of MAX_VERTICES' bit length never fits
     if depth >= MAX_VERTICES.bit_length() or \
             tree_size(d, depth) + interior_size(d, depth) > MAX_VERTICES:
@@ -435,7 +449,10 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     guaranteed = guaranteed_girth(d, n)
     res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
                      guaranteed)
-    achieved = int(_batched_cycle_scan(state, points, t2p[slots], total).min())
+    achieved = res.shortest
+    if achieved is None:  # depth 1: the engine had nothing to scan
+        achieved = int(_batched_cycle_scan(state, points, t2p[slots], total,
+                                           shrink=True).min())
     if achieved < guaranteed:
         raise ConstructionError(
             f"pairing girth {achieved} below guaranteed {guaranteed}")

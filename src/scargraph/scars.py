@@ -146,6 +146,8 @@ def glue(h: Graph, sites, seed: int = 0) -> ScarredGraph:
     sites = list(sites)
     if not sites:
         raise ValueError("glue needs at least one site")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     r, d = sites[0].r, sites[0].d
     if any(s.r != r or s.d != d for s in sites):
         raise ValueError("all sites must share the same d and r")
@@ -215,6 +217,8 @@ def multi_glue(h: Graph, k_sites: int, r: int, seed: int = 0) -> ScarredGraph:
     must lie in [0, MAX_VERTICES' bit length), as sites grow like d^r."""
     if k_sites < 0:
         raise ValueError("site count must be nonnegative")
+    if seed < 0:
+        raise ValueError("seed must be nonnegative")
     _check_depth(r)
     deg = is_regular(h)
     if deg is None or deg < 3:

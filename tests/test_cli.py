@@ -650,3 +650,26 @@ class TestOversizedPair:
         assert f"more than {MAX_VERTICES}" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert not out.exists()
+
+
+class TestNegativeSeed:
+    """--seed -1 exits 2 with a message naming the seed, no traceback."""
+
+    def test_pair(self, tmp_path, capsys):
+        out = tmp_path / "p.json"
+        code = main(["pair", "--d", "2", "--depth", "3", "--seed", "-1",
+                     "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed must be nonnegative" in err
+        assert not out.exists()
+
+    def test_construct(self, mcgee_file, tmp_path, capsys):
+        code = main(["construct", "--base", mcgee_file, "--d", "2",
+                     "--r", "1", "--seed", "-1",
+                     "--out", str(tmp_path / "g.edges"),
+                     "--cert", str(tmp_path / "c.json")])
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "seed must be nonnegative" in err
+        assert "Traceback" not in err

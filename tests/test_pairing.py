@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import cycle_through_edge_reference
+from scargraph import scars
 from scargraph.certificate import girth_required
 from scargraph.graphs import MAX_VERTICES, _hop_distances, build_graph, girth
 from scargraph.pairing import (_BIG, _SwapState, _attach_tree,
@@ -487,3 +488,104 @@ class TestPartnerSearch:
             for radius, mask in [(guaranteed - 2, inner), (target - 1, near)]:
                 dist = _hop_distances(g.indptr, g.indices, [x], radius)
                 assert np.array_equal(mask, dist[points] >= 0)
+
+
+def assert_shrinking_scan_matches_exact(state, points, parents):
+    # the minimum and the indices at it agree with the exact scan at every
+    # cutoff, including an uncapped one; other lengths may differ
+    for cutoff in [*range(13), state.n]:
+        exact = _batched_cycle_scan(state, points, parents, cutoff)
+        got = _batched_cycle_scan(state, points, parents, cutoff, shrink=True)
+        low = int(exact.min(initial=_BIG))
+        assert int(got.min(initial=_BIG)) == low, cutoff
+        if low < _BIG:
+            assert np.array_equal(np.flatnonzero(got == low),
+                                  np.flatnonzero(exact == low)), cutoff
+        else:
+            assert (got == _BIG).all(), cutoff
+
+
+class TestShrinkingScan:
+    """The swap engine's scan, whose cutoff falls to the shortest cycle
+    found so far, against the exact per-edge scan."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(scan_inputs())
+    def test_small_graphs(self, inputs):
+        assert_shrinking_scan_matches_exact(*inputs)
+
+    @settings(max_examples=40, deadline=None)
+    @given(block_scan_inputs())
+    def test_several_blocks(self, inputs):
+        # 255 to 513 points, so later blocks run under a fallen cutoff
+        assert_shrinking_scan_matches_exact(*inputs)
+
+
+def exact_minimum(state, points, slots, slot_parent):
+    parents = slot_parent[slots]
+    return int(_batched_cycle_scan(state, points, parents, state.n).min())
+
+
+class TestEngineShortest:
+    """_run_swaps reports the exact shortest cycle through the movable
+    edges of its final state, which pair_trees gives as its girth."""
+
+    @pytest.mark.parametrize("d,D", [(2, 4), (2, 6), (3, 3), (3, 5),
+                                     (4, 2), (4, 4)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_pair_trees_states(self, d, D, seed):
+        levels, parent = tree_layout(d, D)
+        points = levels[-1]
+        t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
+        t2, slots, t2p, _, total = _attach_tree(
+            d, D, points, len(parent) + 1, np.random.default_rng(seed))
+        state = _SwapState(total, np.concatenate([t1, t2]))
+        n = len(points)
+        for target in (girth_target(d, n), 100):  # 100 stalls
+            res = _run_swaps(state, points, slots, t2p, target,
+                             guaranteed_girth(d, n))
+            assert res.stalled == (target == 100)
+            assert res.shortest == exact_minimum(state, points, slots, t2p)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_glue_states(self, lps_h, monkeypatch, seed):
+        # each run checked as it returns: the next run swaps the same state
+        seen = []
+
+        def checked(state, points, slots, slot_parent, target, guaranteed):
+            res = _run_swaps(state, points, slots, slot_parent, target,
+                             guaranteed)
+            seen.append((res.shortest,
+                         exact_minimum(state, points, slots, slot_parent)))
+            return res
+
+        monkeypatch.setattr(scars, "_run_swaps", checked)
+        scars.multi_glue(lps_h, 1, 2, seed=seed)
+        assert len(seen) == 2
+        for shortest, exact in seen:
+            assert shortest == exact
+
+    def test_one_parent_scans_nothing(self, mcgee, monkeypatch):
+        # at r = 1 each tree's leaves hang off its root
+        seen = []
+
+        def recording(*args):
+            seen.append(_run_swaps(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(scars, "_run_swaps", recording)
+        scars.multi_glue(mcgee, 1, 1, seed=7)
+        assert [res.shortest for res in seen] == [None, None]
+
+    @pytest.mark.parametrize("d", [2, 3, 4])
+    @pytest.mark.parametrize("D", range(1, 7))
+    def test_achieved_girth_is_glued_girth(self, d, D):
+        for seed in range(3):
+            p = pair_trees(d, D, seed)
+            assert p.achieved_girth == girth(p.glued), seed
+
+
+class TestNegativeSeed:
+    def test_pair_trees(self):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            pair_trees(2, 3, seed=-1)

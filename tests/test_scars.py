@@ -317,3 +317,16 @@ class TestGoldenStructure:
     def test_fixture_digest(self, request, fixture, digest):
         sg = request.getfixturevalue(fixture)
         assert structure_digest(sg) == digest
+
+
+class TestNegativeSeed:
+    """A negative seed is refused by name, not by numpy's generator."""
+
+    def test_multi_glue(self, mcgee):
+        for k in (0, 1):
+            with pytest.raises(ValueError, match="seed must be nonnegative"):
+                multi_glue(mcgee, k, 1, seed=-1)
+
+    def test_glue(self, mcgee):
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            glue(mcgee, [carve_site(mcgee, 0, 1)], seed=-1)
