@@ -35,8 +35,9 @@ spheres around s, so a whole chunk of per-vertex searches costs a few
 sparse products per level instead of a Python loop per edge.  ``girth``
 deletes each searched chunk of sources from the graph later chunks walk
 (Itai and Rodeh, 1978), which stays exact: every cycle through a searched
-source is longer than the caps after its search.  ``bs_cycle_fraction``
-deletes nothing.
+source is longer than the caps after its search.  It stops once the graph
+left to walk is a forest, as no cycle is then left to find.
+``bs_cycle_fraction`` deletes nothing, so it stops only on a forest.
 """
 
 from __future__ import annotations
@@ -222,6 +223,8 @@ def _hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
 def bfs_distances(g: Graph, source: int, cap: int | None = None) -> DistanceMap:
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
+    if cap is not None and cap < 0:
+        raise ValueError(f"cap must be nonnegative, got {cap}")
     return DistanceMap(_hop_distances(g.indptr, g.indices, [source], cap))
 
 
@@ -278,6 +281,10 @@ def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
     so no cycle later sources still look for passes through s, and any
     adjacency between the rest and G keeps the minimum exact.  Only the
     minimum of the result is then meaningful.
+    The search stops when the sources left are the graph left to walk
+    (always so with ``shrink``, only at the start without) and that graph
+    is a forest, m' = n' - components (counted only when m' < n'): every
+    cycle not yet found lies in it.
     """
     n = g.n
     lengths = np.zeros(n, dtype=np.int64)
@@ -286,6 +293,10 @@ def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
         shape=(n, n))
     base = start = 0        # adj is the graph induced on ids base..n-1
     while start < n:
+        m = adj.nnz // 2
+        if start == base and m < n - base and m == n - base - \
+                connected_components(adj, directed=False, return_labels=False):
+            break           # the sources left walk a forest: no cycle left
         deg = np.diff(adj.indptr).astype(np.int32)
         size = max(1, _CHUNK_ENTRIES // _widest_sphere(
             n - base, int(deg.max(initial=0)), cap))
@@ -329,7 +340,8 @@ def girth(g: Graph):
     which for the first-searched vertex of a shortest cycle is that cycle's
     length.  Once a cycle is found, later sources stop one level before
     they could only match it, and they walk the graph without the searched
-    sources, so the searches grow shallower and narrower as they go.
+    sources, so the searches grow shallower and narrower as they go, and
+    stop once that graph is a forest: a forest searches no source at all.
     """
     lengths = _first_cycle_lengths(g, INFINITE_GIRTH, shrink=True)
     found = lengths[lengths > 0]
@@ -371,6 +383,8 @@ class Ball:
 
 def ball(g: Graph, v: int, radius: int) -> Ball:
     """Induced subgraph on all vertices within ``radius`` hops of v."""
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     dm = bfs_distances(g, v, cap=radius)
     layers = [np.sort(np.nonzero(dm.dist == r)[0]) for r in range(radius + 1)]
     layers = [lay for lay in layers if len(lay)]
@@ -431,6 +445,8 @@ def bs_cycle_fraction(g: Graph, radius: int) -> Fraction:
     the non-backtracking path counts from v reveal is at most 2R+1 (see
     :func:`_first_cycle_lengths`).
     """
+    if radius < 0:
+        raise ValueError(f"radius must be nonnegative, got {radius}")
     cap = 2 * radius + 1
     lengths = _first_cycle_lengths(g, cap, shrink=False)
     count = int(((lengths > 0) & (lengths <= cap)).sum())

@@ -17,7 +17,9 @@ from scargraph.graphs import (_CHUNK_ENTRIES, EdgeListFormatError,
                               shortest_cycle_through, vertex_expansion)
 from scargraph.named import (complete_graph, cycle_graph, mcgee_graph,
                              path_graph, petersen_graph, star_graph)
+from scargraph.pairing import pair_trees
 from scargraph.spectral import kahale_instance
+from scargraph.trees import build_dary_tree, interior_size
 
 from conftest import brute_force_girth, random_small_graph
 
@@ -369,6 +371,88 @@ class TestGirthDeletingSources:
             mp.setattr(graphs, "_CHUNK_ENTRIES", entries)
             got = bs_cycle_fraction(g, radius)
         assert got == (Fraction(count, g.n) if g.n else 0)
+
+
+def searched_bases(g, entries=_CHUNK_ENTRIES, radius=None):
+    """girth(g), or bs_cycle_fraction(g, radius), and the first id of the
+    graph each searched chunk walked, read off the one _widest_sphere call
+    per chunk."""
+    bases = []
+
+    def widest(n, max_degree, cap):
+        bases.append(g.n - n)
+        return _widest_sphere(n, max_degree, cap)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(graphs, "_widest_sphere", widest)
+        mp.setattr(graphs, "_CHUNK_ENTRIES", entries)
+        got = girth(g) if radius is None else bs_cycle_fraction(g, radius)
+    return got, bases
+
+
+@st.composite
+def trees_plus_edges(draw):
+    """A random tree on 20-300 vertices plus 0-3 extra edges, relabelled at
+    random, so a cycle may sit anywhere in id order, the highest ids too."""
+    n = draw(st.integers(20, 300))
+    edges = {(draw(st.integers(0, v - 1)), v) for v in range(1, n)}
+    vertex = st.integers(0, n - 1)
+    for u, v in draw(st.lists(st.tuples(vertex, vertex), max_size=3)):
+        if u != v:
+            edges.add((min(u, v), max(u, v)))
+    label = draw(st.permutations(range(n)))
+    return build_graph(n, [(label[u], label[v]) for u, v in edges])
+
+
+class TestGirthStopsOnForest:
+    """The search stops before any chunk whose graph left to walk is a
+    forest, so a forest searches no chunk at all."""
+
+    def random_forest(self):
+        rng = np.random.default_rng(11)
+        parents = [int(rng.integers(-1, v)) for v in range(1, 500)]
+        return build_graph(500, [(p, v + 1) for v, p in enumerate(parents)
+                                 if p >= 0])
+
+    def test_forest_searches_no_chunk(self):
+        for g in (path_graph(5000), build_dary_tree(4, 7).graph,
+                  build_graph(50, []), self.random_forest()):
+            assert searched_bases(g) == (INF, [])
+
+    def test_ball_fraction_of_a_forest_searches_no_chunk(self):
+        for radius in (0, 1, 3):
+            for entries in (1, _CHUNK_ENTRIES):
+                assert searched_bases(self.random_forest(), entries,
+                                      radius) == (0, [])
+
+    def test_double_tree_stops_after_t1_interior(self):
+        g = pair_trees(4, 6, seed=0).glued
+        t1_interior = interior_size(4, 6)
+        assert (g.n, t1_interior) == (8532, 1706)
+        got, bases = searched_bases(g)
+        assert got == nx.girth(to_networkx(g)) == 10
+        # removing T1's interior leaves a tree: the last chunk searched
+        # starts inside it
+        assert bases and max(bases) < t1_interior
+
+    @settings(max_examples=150, deadline=None)
+    @given(trees_plus_edges(), st.sampled_from([1, 2, 8, 64, _CHUNK_ENTRIES]))
+    def test_matches_networkx(self, g, entries):
+        assert searched_bases(g, entries)[0] == nx.girth(to_networkx(g))
+
+
+class TestNegativeRadiusRefused:
+    def test_ball(self):
+        with pytest.raises(ValueError, match="radius"):
+            ball(cycle_graph(5), 0, -1)
+
+    def test_bfs_distances_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            bfs_distances(cycle_graph(5), 0, cap=-1)
+
+    def test_bs_cycle_fraction(self):
+        with pytest.raises(ValueError, match="radius"):
+            bs_cycle_fraction(cycle_graph(5), -1)
 
 
 class TestDistances:
