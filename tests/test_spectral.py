@@ -1,4 +1,5 @@
 import hashlib
+import json
 import math
 
 import numpy as np
@@ -207,6 +208,24 @@ class TestSingleDeflatedSolve:
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
         assert digest == ("ff90a5e65e28d776021cd3fe9224cec9"
                           "3f58f572996aa4c63a9dd5ed84e7d99c")
+
+    @pytest.mark.parametrize("fixture,digest", [
+        ("lps13_sg", "6822b2ffe3705fe4630648a90837779b"
+                     "006e4e21e52d0c77e91f7f82215f7fc1"),
+        ("lps_sg_r2", "5c49696e2f0288ae3ac9d06ec62d97d3"
+                      "94cb52003142a883a26df611df1a53c1"),
+    ])
+    def test_certificate_digest_without_checks(self, request, fixture,
+                                               digest):
+        # every byte but the checks map, recorded while the builder still
+        # judged its own checks: taking them from the verifier's judge
+        # must not move a measured or derived field
+        cert = build_certificate(request.getfixturevalue(fixture),
+                                 timestamp=False)
+        data = cert.to_dict()
+        del data["checks"]
+        text = json.dumps(data, sort_keys=True, indent=1, allow_nan=False)
+        assert hashlib.sha256(text.encode()).hexdigest() == digest
 
     def test_certificate_digest_above_blas_threading(self, lps_sg_r2):
         # n = 12194 is above the 10000-element length from which OpenBLAS
