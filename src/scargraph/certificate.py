@@ -1,13 +1,15 @@
 """Machine-readable certificates: every claimed property of a constructed
 graph (girth, nontrivial spectral radius, localized eigenpairs, scarring
-witnesses) recorded with enough data to be re-checked from the graph alone,
-plus the verifier that does the re-checking."""
+witnesses) recorded with enough data to be re-checked from the graph alone.
+One judge, _judge, turns measurements into verdicts: build_certificate
+feeds it its own, verify_certificate those it re-measures on the graph."""
 
 from __future__ import annotations
 
 import datetime
 import json
 import math
+import sys
 from dataclasses import asdict, dataclass, fields
 
 import numpy as np
@@ -97,7 +99,8 @@ class Certificate:
 
 
 def _is_number(v) -> bool:
-    return type(v) in (int, float)
+    """A float, or an int no larger in magnitude than the largest float."""
+    return type(v) is float or type(v) is int and abs(v) <= sys.float_info.max
 
 
 # JSON type of each annotated field type; a record's support and values
@@ -172,9 +175,10 @@ def _derived_fields(d: int, r: int, k: int, M: int, m: int):
 
 
 def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
-    """Measure every certified quantity of a scarred graph; failures are
-    recorded in the checks map, never raised.  A depth r that multi_glue
-    refuses raises its ValueError."""
+    """Measure and record every certified quantity of a scarred graph; its
+    checks map holds _judge's verdicts on these measurements, failures
+    recorded, never raised.  A depth r multi_glue refuses raises its
+    ValueError."""
     _check_depth(sg.r)
     g = sg.graph
     d, r, k = sg.d, sg.r, len(sg.sites)
@@ -184,48 +188,33 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
     bound, required, _, alpha = _derived_fields(d, r, k, M, m)
     summary = extreme_eigenvalues(g, how_many=0)
     thm, prop = spectral_threshold(d)
-
-    localized = []
-    checks = {
-        "regular": is_regular(g) == d + 1,
-        "vertex_count": M == m + sum(len(s.v1) + len(s.v2) for s in sg.sites),
-    }
-    if k:
-        spec = radial_spectrum(d, r - 1)
-        for sid, site in enumerate(sg.sites):
-            allowed = set(int(v) for v in np.concatenate([site.v1, site.v2]))
-            for lam in spec.eigenvalues:
-                nu = localized_eigenvector(sg, sid, float(lam))
-                rinf, rtwo = residual(g, nu, float(lam))
-                support = np.nonzero(np.abs(nu) > SUPPORT_EPS)[0]
-                wit = scarring_witness(nu, support, M)
-                localized.append(LocalizedRecord(
-                    sid, float(lam), support.tolist(),
-                    nu[support].tolist(),
-                    rinf, rtwo, wit.value,
-                    all(int(v) in allowed for v in support),
-                    abs(float(lam)) < 2.0 * math.sqrt(d)))
-        checks["localized_residuals"] = all(
-            rec.residual_inf <= RESIDUAL_TOL for rec in localized)
-        checks["localized_supports"] = all(
-            rec.support_in_site for rec in localized)
-        checks["localized_interior"] = all(
-            rec.interior_eigenvalue for rec in localized)
-        checks["localized_count"] = len(localized) == k * r
-        checks["girth_at_least_bound"] = gv >= bound
-        checks["girth_at_least_required"] = gv >= required
-    checks["spectral_within_threshold"] = summary.lambda2_abs <= thm
+    sites = [_site_dict(s) for s in sg.sites]
+    spec = radial_spectrum(d, r - 1).eigenvalues.tolist() if k else []
+    localized, measured = [], []
+    for sid in range(k):
+        for lam in spec:
+            nu = localized_eigenvector(sg, sid, lam)
+            rinf, rtwo = residual(g, nu, lam)
+            support = np.nonzero(np.abs(nu) > SUPPORT_EPS)[0]
+            ids = support.tolist()
+            wit = scarring_witness(nu, support, M).value
+            localized.append(LocalizedRecord(
+                sid, lam, ids, nu[support].tolist(), rinf, rtwo, wit,
+                *_record_flags(sid, ids, lam, sites, d)))
+            measured.append((norm2(nu), rinf, wit))
 
     created = datetime.datetime.now(datetime.timezone.utc).isoformat() \
         if timestamp else ""
-    return Certificate(
+    cert = Certificate(
         d=d, r=r, k=k, m=m, M=M, seed=sg.seed, seeds_used=list(sg.seeds_used),
         girth=gv, girth_bound=bound, girth_required=required,
         lambda_max_nontrivial=summary.lambda2_abs,
         spectral_threshold=thm, proposition_threshold=prop,
         effective_alpha=alpha, spectral_method=summary.method,
-        localized=localized, sites=[_site_dict(s) for s in sg.sites],
-        checks=checks, created_utc=created)
+        localized=localized, sites=sites, checks={}, created_utc=created)
+    items = _judge(cert, M, is_regular(g), gv, summary.lambda2_abs, measured)
+    cert.checks = {it.name: it.ok for it in items}
+    return cert
 
 
 @dataclass
@@ -257,29 +246,27 @@ def _site_vertices(site) -> set:
         return set()
 
 
-def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
-    """Recompute every certified quantity from the graph and diff it
-    against the certificate; each mismatch is itemized.  The site and
-    record counts are re-derived, and each eigenvector must lie inside its
-    site's T1 and T2 interiors with |lambda| < 2 sqrt(d).  Eigenvector
-    residuals are judged against the fixed RESIDUAL_TOL and lambda2 against
-    the fixed SPECTRAL_TOL, never against a tolerance the certificate
-    records, and a check the certificate records as failed fails the
-    verification too.  A record whose support holds an id outside [0, M) or
-    whose values are not numbers matching it one to one fails, and so does
-    one whose vector is not of unit norm.  The girth bounds, the base size
-    m (M minus 2k T1 interiors), effective_alpha and the method name are
-    re-derived, not trusted; either method passes, whichever this verifier
-    uses.  The verdicts are re-derived too: the measured lambda2 against
-    the theorem threshold and, with sites, the measured girth against both
-    girth bounds."""
+def _record_flags(sid, ids: list, lam: float, sites: list, d: int):
+    """A record's (support_in_site, interior_eigenvalue) on recorded sites."""
+    in_site = type(sid) is int and 0 <= sid < len(sites) \
+        and set(ids) <= _site_vertices(sites[sid])
+    return in_site, abs(lam) < 2.0 * math.sqrt(d)
+
+
+def _judge(cert: Certificate, n: int, deg, gv, lam2, records) -> list:
+    """The verdicts on a certificate from what was measured on its graph:
+    n vertices of common degree deg and, when n is cert.M, the girth gv
+    (-1 for a forest), the nontrivial spectral radius lam2 and per record
+    its vector's (norm, max-norm residual, witness), or None when it reads
+    as none.  Tolerances are fixed, never the certificate's; counts, girth
+    bounds, m, effective_alpha and every verdict are re-derived, and each
+    vector must be of unit norm, in its site and with |lambda| < 2 sqrt d."""
     items = []
 
     def check(name, ok, detail=""):
         items.append(VerificationItem(name, bool(ok), detail))
 
-    check("vertex_count", g.n == cert.M, f"graph {g.n} vs certificate {cert.M}")
-    deg = is_regular(g)
+    check("vertex_count", n == cert.M, f"graph {n} vs certificate {cert.M}")
     check("regularity", deg == cert.d + 1, f"degree {deg}")
     bound, required, m, alpha = _derived_fields(
         cert.d, cert.r, cert.k, cert.M, cert.m) or (None,) * 4
@@ -297,51 +284,61 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
           f"{cert.effective_alpha!r} vs r log d / log m = {alpha!r}")
     check("spectral_method", cert.spectral_method in ("dense", "iterative"),
           repr(cert.spectral_method))
-    sites = [_site_vertices(site) for site in cert.sites]
+    if n != cert.M:
+        return items
+    check("girth", gv == cert.girth, f"measured {gv} vs {cert.girth}")
+    check("lambda_max_nontrivial",
+          abs(lam2 - cert.lambda_max_nontrivial) <= SPECTRAL_TOL,
+          f"measured {lam2!r} vs {cert.lambda_max_nontrivial!r}")
+    thm, prop = spectral_threshold(cert.d)
+    check("spectral_threshold", abs(thm - cert.spectral_threshold) < 1e-12)
+    check("proposition_threshold",
+          abs(prop - cert.proposition_threshold) < 1e-12)
+    check("spectral_within_threshold", lam2 <= thm,
+          f"measured {lam2!r} vs (3/sqrt 2) sqrt d = {thm!r}")
+    if cert.k and bound is not None:
+        check("girth_at_least_bound", gv >= bound, f"measured {gv} vs {bound}")
+        check("girth_at_least_required", gv >= required,
+              f"measured {gv} vs {required}")
+    for i, (rec, meas) in enumerate(zip(cert.localized, records)):
+        if meas is None:
+            check(f"localized_{i}", False, record_shape_error(rec, n))
+            continue
+        norm, rinf, wit = meas
+        ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL \
+            and abs(wit - rec.witness_value) <= 1e-12
+        in_site, interior = _record_flags(rec.site_id, rec.support,
+                                          rec.eigenvalue, cert.sites, cert.d)
+        check(f"localized_{i}", ok and in_site and interior,
+              f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "
+              f"in_site={in_site} interior={interior}")
+    return items
+
+
+def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
+    """Measure the graph, judge the certificate by it (_judge, which
+    build_certificate takes its checks from), and fail any check the
+    certificate records as failed; each mismatch is itemized."""
+    gv, lam2, records = None, None, []
     if g.n == cert.M:
         gv = girth(g)
         gv = int(gv) if gv != math.inf else -1
-        check("girth", gv == cert.girth, f"measured {gv} vs {cert.girth}")
-        summary = extreme_eigenvalues(g, how_many=0)
-        check("lambda_max_nontrivial",
-              abs(summary.lambda2_abs - cert.lambda_max_nontrivial)
-              <= SPECTRAL_TOL,
-              f"measured {summary.lambda2_abs!r} vs {cert.lambda_max_nontrivial!r}")
-        thm, prop = spectral_threshold(cert.d)
-        check("spectral_threshold", abs(thm - cert.spectral_threshold) < 1e-12)
-        check("proposition_threshold",
-              abs(prop - cert.proposition_threshold) < 1e-12)
-        check("spectral_within_threshold", summary.lambda2_abs <= thm,
-              f"measured {summary.lambda2_abs!r} vs (3/sqrt 2) sqrt d = "
-              f"{thm!r}")
-        if cert.k and bound is not None:
-            check("girth_at_least_bound", gv >= bound,
-                  f"measured {gv} vs {bound}")
-            check("girth_at_least_required", gv >= required,
-                  f"measured {gv} vs {required}")
-        for i, rec in enumerate(cert.localized):
-            bad = record_shape_error(rec, g.n)
-            if bad:
-                check(f"localized_{i}", False, bad)
-                continue
+        lam2 = extreme_eigenvalues(g, how_many=0).lambda2_abs
+        for rec in cert.localized:
             ids = rec.support
+            if record_shape_error(rec, g.n):
+                records.append(None)
+                continue
             nu = np.zeros(g.n)
             nu[ids] = rec.values
             norm = norm2(nu)
             # a zero vector fails on its norm; residual() would raise
             rinf = residual(g, nu, rec.eigenvalue)[0] if norm else math.inf
-            ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL
-            wit = float(np.sum(nu[ids] ** 2) - len(ids) / g.n)
-            ok = ok and abs(wit - rec.witness_value) <= 1e-12
-            sid = rec.site_id
-            in_site = type(sid) is int and 0 <= sid < len(sites) \
-                and set(ids) <= sites[sid]
-            interior = abs(rec.eigenvalue) < 2.0 * math.sqrt(cert.d)
-            check(f"localized_{i}", ok and in_site and interior,
-                  f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "
-                  f"in_site={in_site} interior={interior}")
+            records.append(
+                (norm, rinf, float(np.sum(nu[ids] ** 2) - len(ids) / g.n)))
+    items = _judge(cert, g.n, is_regular(g), gv, lam2, records)
     failed = sorted(name for name, ok in cert.checks.items() if ok is not True)
-    check("recorded_checks", not failed,
-          f"recorded as failed: {', '.join(failed)}" if failed else "")
-    passed = all(it.ok for it in items)
-    return VerificationReport(items, passed)
+    items.append(VerificationItem(
+        "recorded_checks", not failed,
+        f"recorded as failed: {', '.join(failed)}" if failed else ""))
+    return VerificationReport(items, all(it.ok for it in items))

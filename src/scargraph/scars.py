@@ -240,7 +240,7 @@ def localized_eigenvector(sg: ScarredGraph, site_id: int,
     """Unit eigenvector of the glued graph with radial eigenvalue ``lam`` of
     the depth-(r-1) tree: the lifted profile on the carved interior, its
     negative on the replacement interior, zero elsewhere.  It is exact by
-    construction; build_certificate records its residual and judges it."""
+    construction; its certificate records its residual and judges it."""
     site = sg.sites[site_id]
     spec = radial_spectrum(site.d, site.r - 1)
     gaps = np.abs(spec.eigenvalues - lam)

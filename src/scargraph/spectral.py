@@ -13,8 +13,8 @@ import numpy as np
 import scipy.sparse.linalg as spla
 from scipy.linalg import blas, eigh
 
-from .graphs import (Graph, _hop_distances, _neighbours, is_connected,
-                     is_regular)
+from .graphs import (MAX_VERTICES, Graph, _hop_distances, _neighbours,
+                     is_connected, is_regular)
 from .trees import DaryTree
 
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
@@ -173,8 +173,8 @@ def spectral_threshold(d: int):
     The sharper constant b = (3d-1)/sqrt(d(2d-1)) satisfies
     b < 3/sqrt(2) < 3 for every d >= 2.
     """
-    if d < 2:
-        raise ValueError("d must be at least 2")
+    if not 2 <= d < MAX_VERTICES:
+        raise ValueError(f"d must be at least 2 and below {MAX_VERTICES}")
     theorem = 3.0 / math.sqrt(2.0) * math.sqrt(d)
     proposition = (3.0 * d - 1.0) / math.sqrt(2.0 * d - 1.0)
     assert proposition < theorem < 3.0 * math.sqrt(d)

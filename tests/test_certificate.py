@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import scargraph.certificate
 from scargraph.base import lps_graph
 from scargraph.certificate import (SPECTRAL_TOL, Certificate,
                                    build_certificate, girth_bound,
@@ -201,8 +202,9 @@ class TestVerifyCertificate:
         lambda r: r.update(support=[r["support"][0], True]),
         lambda r: r.update(support=0),
         lambda r: r.update(values=r["values"][:1]),
+        lambda r: r.update(values=[10 ** 400] * len(r["values"])),
     ], ids=["id-too-large", "id-negative", "id-float", "id-bool",
-            "support-not-list", "values-short"])
+            "support-not-list", "values-short", "value-beyond-float"])
     def test_malformed_support_fails_its_record(self, mcgee_sg, edit):
         data = build_certificate(mcgee_sg).to_dict()
         edit(data["localized"][0])
@@ -255,6 +257,8 @@ class TestCertificateSchema:
         ("tool_version", 0.1, "a string"),
         ("seeds_used", 7, "a list"),
         ("sites", {}, "a list"),
+        ("lambda_max_nontrivial", 10 ** 400, "a number"),
+        ("spectral_threshold", -10 ** 400, "a number"),
     ])
     def test_wrongly_typed_field_rejected(self, mcgee_sg, key, value, kind):
         data = build_certificate(mcgee_sg).to_dict()
@@ -271,6 +275,7 @@ class TestCertificateSchema:
         ("site_id", "0", "an integer"),
         ("support_in_site", 1, "a boolean"),
         ("interior_eigenvalue", "true", "a boolean"),
+        ("residual_inf", 10 ** 400, "a number"),
     ])
     def test_wrongly_typed_record_field_rejected(self, mcgee_sg, key, value,
                                                  kind):
@@ -477,3 +482,72 @@ class TestVerdictsAreRederived:
         assert {"spectral_within_threshold", "girth_at_least_bound",
                 "girth_at_least_required"} <= set(names)
         assert report.passed, report.summary()
+
+
+def _bottleneck_sg():
+    """Two LPS(13,17) copies joined by one double edge switch, glued at
+    r = 1: lambda2 is close to d + 1 = 14, above the threshold."""
+    h = lps_graph(13, 17)
+    e = h.edges()
+    (a, b), (c, d) = e[0].tolist(), e[1000].tolist()
+    two = _switched(2 * h.n, np.vstack([e, e + h.n]),
+                    [(c + h.n, d + h.n), (a, b)],
+                    [(a, c + h.n), (b, d + h.n)])
+    return multi_glue(two, 1, 1, seed=1)
+
+
+class TestOneJudge:
+    """build_certificate's checks are the verifier's items, judged by the
+    same code from the builder's own measurements."""
+
+    @pytest.fixture(scope="class", params=["mcgee", "cubic6-r2", "lps13",
+                                           "bottleneck", "triangle"])
+    def case(self, request):
+        if request.param == "mcgee":
+            return request.getfixturevalue("mcgee_sg"), []
+        if request.param == "lps13":
+            return multi_glue(lps_graph(13, 17), 1, 1, seed=1), []
+        if request.param == "bottleneck":
+            return _bottleneck_sg(), ["spectral_within_threshold"]
+        sg = multi_glue(request.getfixturevalue("cubic6"), 1, 2, seed=1)
+        if request.param == "triangle":
+            return _close_triangle(sg), ["girth_at_least_required"]
+        return sg, []
+
+    def test_builder_and_verifier_agree(self, case):
+        sg, failing = case
+        cert = build_certificate(sg, timestamp=False)
+        items = [it for it in verify_certificate(sg.graph, cert).items
+                 if it.name != "recorded_checks"]
+        assert cert.checks == {it.name: it.ok for it in items}
+        assert list(cert.checks) == [it.name for it in items]
+        assert [n for n, ok in cert.checks.items() if not ok] == failing
+        names = set(cert.checks)
+        assert {"girth", "lambda_max_nontrivial", "spectral_within_threshold",
+                "girth_at_least_bound", "girth_at_least_required"} <= names
+        assert {f"localized_{i}" for i in range(cert.k * cert.r)} <= names
+
+    @pytest.mark.parametrize("known_girth", [True, False])
+    def test_one_girth_and_one_spectral_call(self, mcgee_sg, monkeypatch,
+                                             known_girth):
+        calls = {"girth": 0, "extreme_eigenvalues": 0}
+
+        def counted(name):
+            fn = getattr(scargraph.certificate, name)
+
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(scargraph.certificate, name, counted(name))
+        # multi_glue records the glued girth; without it the builder
+        # measures it once
+        assert mcgee_sg.girth is not None
+        sg = mcgee_sg if known_girth \
+            else dataclasses.replace(mcgee_sg, girth=None)
+        cert = build_certificate(sg, timestamp=False)
+        assert calls == {"girth": 0 if known_girth else 1,
+                         "extreme_eigenvalues": 1}
+        assert cert.all_ok and cert.girth == 4

@@ -1,5 +1,6 @@
 import csv
 import json
+import re
 
 import numpy as np
 import pytest
@@ -252,8 +253,16 @@ class TestSubcommands:
         (lambda d: d.update(spectral_method=None),
          "certificate: 'spectral_method' must be a string"),
         (lambda d: d.update(d=1), "d must be at least 2"),
+        (lambda d: d.update(lambda_max_nontrivial=10 ** 400),
+         "certificate: 'lambda_max_nontrivial' must be a number"),
+        (lambda d: d.update(effective_alpha=-10 ** 400),
+         "certificate: 'effective_alpha' must be a number"),
+        (lambda d: d["localized"][0].update(eigenvalue=10 ** 400),
+         "localized[0]: 'eigenvalue' must be a number"),
+        (lambda d: d.update(d=10 ** 400), "d must be at least 2 and below"),
     ], ids=["eigenvalue-string", "witness-string", "d-string",
-            "method-null", "d-one"])
+            "method-null", "d-one", "lambda2-beyond-float",
+            "alpha-beyond-float", "eigenvalue-beyond-float", "d-huge"])
     def test_verify_wrongly_typed_field_exits_two(self, mcgee_file, tmp_path,
                                                   capsys, edit, msg):
         gpath = str(tmp_path / "g.edges")
@@ -291,6 +300,69 @@ class TestSubcommands:
         err = capsys.readouterr().err
         assert "localized[0]: support must hold" in err
         assert "Traceback" not in err and not qpath.exists()
+
+    @pytest.mark.parametrize("cmd,code", [("qe", 2), ("report", 2),
+                                          ("verify", 1)])
+    def test_value_beyond_float_range(self, mcgee_file, tmp_path, capsys,
+                                      cmd, code):
+        # an integer that float() cannot read fails its record: qe and
+        # report refuse the certificate, verify fails only that record
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        data["localized"][0]["values"][0] = 10 ** 400
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        argv = {"qe": ["qe", "--graph", gpath, "--cert", cpath,
+                       "--out", str(tmp_path / "qe.csv")],
+                "report": ["report", "--cert", cpath],
+                "verify": ["verify", "--graph", gpath, "--cert", cpath]}[cmd]
+        capsys.readouterr()
+        assert main(argv) == code
+        out, err = capsys.readouterr()
+        assert "Traceback" not in out + err
+        if cmd == "verify":
+            assert [ln for ln in out.splitlines()
+                    if ln.startswith("[FAIL]")] == [
+                "[FAIL] localized_0: support must hold one id in [0, 26) "
+                "per value, and the values must be numbers"]
+        else:
+            assert "localized[0]: support must hold" in err
+
+    def test_report_refuses_number_beyond_float_range(self, mcgee_file,
+                                                      tmp_path, capsys):
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out",
+              str(tmp_path / "g.edges"), "--cert", cpath])
+        data = json.loads(open(cpath).read())
+        data["lambda_max_nontrivial"] = 10 ** 400
+        with open(cpath, "w") as fh:
+            json.dump(data, fh)
+        capsys.readouterr()
+        assert main(["report", "--cert", cpath]) == 2
+        err = capsys.readouterr().err
+        assert "'lambda_max_nontrivial' must be a number" in err
+        assert "Traceback" not in err
+
+    def test_construct_prints_the_verify_items(self, mcgee_file, tmp_path,
+                                               capsys):
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        capsys.readouterr()
+        assert main(["construct", "--base", mcgee_file, "--d", "2", "--r",
+                     "1", "--sites", "1", "--seed", "7", "--out", gpath,
+                     "--cert", cpath]) == 0
+        built = re.findall(r"^  \[(?:PASS|FAIL)\] (\S+)$",
+                           capsys.readouterr().out, re.M)
+        assert main(["verify", "--graph", gpath, "--cert", cpath]) == 0
+        verified = re.findall(r"^\[(?:PASS|FAIL)\] ([^:\s]+)",
+                              capsys.readouterr().out, re.M)
+        assert verified[-1] == "recorded_checks"
+        assert built == verified[:-1]
+        assert "localized_0" in built and "spectral_within_threshold" in built
 
     def test_qe_rejects_graph_beyond_full_basis_limit(self, mcgee_file,
                                                       tmp_path, capsys):

@@ -18,7 +18,8 @@ from scargraph.qe import partial_localization, qe_average, scarring_witness
 from scargraph.scars import (ScarredGraph, carve_site, glue, greedy_packing,
                              multi_glue)
 from scargraph.spectral import (extreme_eigenvalues, kahale_check,
-                                kahale_instance, tree_quadratic_bound_check)
+                                kahale_instance, spectral_threshold,
+                                tree_quadratic_bound_check)
 from scargraph.trees import (build_dary_tree, interior_size,
                              level_mass_profile, quotient_matrix,
                              radial_spectrum)
@@ -212,3 +213,12 @@ class TestDegenerateValues:
 
     def test_empty_graph_is_zero_regular(self):
         assert is_regular(build_graph(0, [])) == 0
+
+
+@pytest.mark.parametrize("d", [1, MAX_VERTICES, 10 ** 400])
+def test_spectral_threshold_refuses_d_out_of_range(d):
+    # a (d+1)-regular graph needs more than d + 1 vertices, so d + 1 above
+    # MAX_VERTICES is refused by name before any float conversion
+    with pytest.raises(ValueError, match="d must be at least 2 and below"):
+        spectral_threshold(d)
+    assert spectral_threshold(MAX_VERTICES - 1)[0] > 0

@@ -203,11 +203,13 @@ class TestSingleDeflatedSolve:
 
     def test_certificate_digest_unchanged(self, lps13_sg):
         # recorded before the two end solves were dropped from the
-        # pipeline's spectral check (numpy 2.4, scipy 1.17)
+        # pipeline's spectral check (numpy 2.4, scipy 1.17); re-recorded
+        # when the checks map became the verifier's items, the only bytes
+        # that moved (test_certificate_digest_without_checks)
         cert = build_certificate(lps13_sg, timestamp=False)
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
-        assert digest == ("ff90a5e65e28d776021cd3fe9224cec9"
-                          "3f58f572996aa4c63a9dd5ed84e7d99c")
+        assert digest == ("1ede9d1499a103cc7ad0fe45793e5e38"
+                          "11889a1407e39eef07bc5ea6a66f0c4d")
 
     @pytest.mark.parametrize("fixture,digest", [
         ("lps13_sg", "6822b2ffe3705fe4630648a90837779b"
@@ -231,12 +233,12 @@ class TestSingleDeflatedSolve:
         # n = 12194 is above the 10000-element length from which OpenBLAS
         # splits ddot across threads; recorded with numpy's norm and dot
         # (numpy 2.4, scipy 1.17), so the scipy.linalg.blas path must not
-        # move a bit of it
+        # move a bit of it; re-recorded with the verifier's items as checks
         assert lps_sg_r2.graph.n == 12194
         cert = build_certificate(lps_sg_r2, timestamp=False)
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
-        assert digest == ("71a1d01e7e2d71c16219097c51f028da"
-                          "33f3e5a74f28ef03297f74a131252823")
+        assert digest == ("36b0b227c2e666bdd0a1290786a7b322"
+                          "c9b30fe4b0622e2de9b5510ec0115b63")
 
 
 class TestResidual:
