@@ -200,7 +200,10 @@ def validate_base(g: Graph, d: int, r: int) -> BaseReport:
     """Check, by measurement, everything the gluing construction needs from
     a base: (d+1)-regularity, non-bipartiteness, girth > 4r (site margin),
     girth > 2(r+1)+1 (tree balls), and nontrivial spectral radius within
-    2 sqrt(d) + RAMANUJAN_TOL.  Failures are reported, not raised."""
+    2 sqrt(d) + RAMANUJAN_TOL.  Failures are reported, not raised; a d no
+    graph has, outside [0, MAX_VERTICES), is refused by name."""
+    if not 0 <= d < MAX_VERTICES:
+        raise ValueError(f"d must lie in [0, {MAX_VERTICES})")
     deg = is_regular(g)
     gv = girth(g)
     summary = extreme_eigenvalues(g, how_many=0) \

@@ -97,11 +97,9 @@ class _SwapState:
     """Adjacency under swaps, kept once, as a padded neighbour table: row v
     of ``table`` lists v's neighbours in the order its edges were given,
     then the sentinel n up to the largest degree, and row n is all
-    sentinel, so a gather of whole rows needs no lengths.  ``lists[v]`` is
-    v's row without its padding, as a memoryview slice of the table:
-    _cycle_through_edge iterates it, _replace writes through it.  A swap
-    replaces one neighbour entry by another, so degrees and the CSR offsets
-    ``indptr`` never change; ``indices`` is read off the table."""
+    sentinel, so a gather of whole rows needs no lengths.  A swap replaces
+    one neighbour entry by another in place, so each row keeps its degree
+    and its padding, and the table with n is the whole state."""
 
     def __init__(self, n: int, edges):
         e = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
@@ -110,24 +108,14 @@ class _SwapState:
         tails, heads = e.ravel(), e[:, ::-1].ravel()
         deg = np.bincount(tails, minlength=n)
         self.n = n
-        self.indptr = np.zeros(n + 1, dtype=np.int64)
-        np.cumsum(deg, out=self.indptr[1:])
         width = int(deg.max(initial=0))
         self.table = np.full((n + 1, width), n, dtype=np.int64)
         # a row-major boolean mask fills each row's first deg entries
         self.table[:-1][np.arange(width) < deg[:, None]] = \
             heads[np.argsort(tails, kind="stable")]
-        flat = memoryview(self.table.reshape(-1))
-        self.lists = [flat[v * width:v * width + k]
-                      for v, k in enumerate(deg.tolist())]
-
-    @property
-    def indices(self) -> np.ndarray:
-        rows = self.table[:-1]
-        return rows[rows < self.n]
 
     def _replace(self, u: int, old: int, new: int):
-        row = self.lists[u]
+        row = self.table[u]
         row[row.tolist().index(old)] = new
 
     def exchange_parents(self, x: int, y: int, px: int, py: int):
@@ -168,9 +156,10 @@ class _SwapState:
         return build_graph(self.n, np.column_stack([tails[keep], rows[keep]]))
 
 
-def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
-    """Shortest cycle length through the edge (x, parent), or a big value if
-    it exceeds ``cutoff``.  Equals 1 + dist(x, parent) with the edge removed.
+def _cycle_through_edge(table, x: int, parent: int, cutoff: int) -> int:
+    """Shortest cycle length through the edge (x, parent) of the padded
+    neighbour ``table`` (as in _SwapState), or a big value if it exceeds
+    ``cutoff``.  Equals 1 + dist(x, parent) with the edge removed.
 
     A bidirectional BFS: one side grows from x, the other from parent, and
     neither crosses the edge.  After both roots' first step, each step
@@ -178,22 +167,25 @@ def _cycle_through_edge(lists, x: int, parent: int, cutoff: int) -> int:
     of radii la and lb in the graph without the edge, and they are
     disjoint exactly while dist > la + lb; so the first step that reaches
     the other side closes a path of length la + lb + 1 (la, lb before the
-    step), a shortest one, and the cycle is one longer."""
+    step), a shortest one, and the cycle is one longer.  The sentinel n
+    starts visited on both sides, and each neighbour is tested against its
+    own side first, so the padding never counts as a meeting."""
     if cutoff < 3:
         return _BIG
-    front = [[w for w in lists[x] if w != parent],
-             [w for w in lists[parent] if w != x]]
-    seen = [{x, *front[0]}, {parent, *front[1]}]
+    n = len(table) - 1
+    front = [[w for w in table[x].tolist() if w != parent and w != n],
+             [w for w in table[parent].tolist() if w != x and w != n]]
+    seen = [{x, n, *front[0]}, {parent, n, *front[1]}]
     if not seen[0].isdisjoint(front[1]):
         return 3
     for length in range(4, cutoff + 1):
         s = len(front[1]) < len(front[0])
         mine, other, nxt = seen[s], seen[not s], []
         for u in front[s]:
-            for w in lists[u]:
-                if w in other:
-                    return length
+            for w in table[u].tolist():
                 if w not in mine:
+                    if w in other:
+                        return length
                     mine.add(w)
                     nxt.append(w)
         if not nxt:
@@ -235,9 +227,10 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
     answer.  The first time bit i lands on parents[i], at distance t, the
     cycle has length t + 1.
     """
-    npts, n, indptr = len(points), state.n, state.indptr
+    npts, n = len(points), state.n
     out = np.full(npts, _BIG, dtype=np.int64)
-    deg = np.diff(indptr)
+    # a row's degree is its count of non-sentinel entries
+    deg = np.count_nonzero(state.table[:-1] != n, axis=1)
     width = int(deg.max(initial=0))
     if cutoff < 3 or not npts or not width:
         return out
@@ -329,7 +322,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
 
     def clear(i, g):
         # no cycle of length <= g through point i's movable edge
-        return _cycle_through_edge(state.lists, int(points[i]),
+        return _cycle_through_edge(state.table, int(points[i]),
                                    int(slot_parent[slots[i]]), g) > g
 
     while True:

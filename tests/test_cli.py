@@ -11,7 +11,8 @@ from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
 from scargraph.cli import (EIGENSPACE_GAP, QE_MAX_VERTICES, RunConfig, main,
                            qe_rows, run_pipeline)
-from scargraph.graphs import MAX_VERTICES, ConstructionError, save_edge_list
+from scargraph.graphs import (MAX_VERTICES, ConstructionError, build_graph,
+                              save_edge_list)
 from scargraph.named import cycle_graph, mcgee_graph
 from scargraph.qe import min_support_for_mass, scarring_witness
 from scargraph.scars import multi_glue
@@ -196,6 +197,28 @@ class TestSubcommands:
         with open(cpath, "w") as fh:
             json.dump(data, fh)
         assert main(["verify", "--graph", gpath, "--cert", cpath]) == 1
+
+    def test_verify_disconnected_graph_fails_its_spectral_checks(
+            self, mcgee_file, tmp_path, capsys):
+        # two disjoint cycles on the glued graph's M vertices: a well-formed
+        # graph that fails the certificate (exit 1), not a usage error
+        gpath = str(tmp_path / "g.edges")
+        cpath = str(tmp_path / "cert.json")
+        main(["construct", "--base", mcgee_file, "--d", "2", "--r", "1",
+              "--sites", "1", "--seed", "7", "--out", gpath, "--cert", cpath])
+        M = json.loads(open(cpath).read())["M"]
+        half = M // 2
+        two = str(tmp_path / "two.edges")
+        save_edge_list(build_graph(M, [(i, (i + 1) % half) for i in range(half)]
+                                   + [(half + i, half + (i + 1) % (M - half))
+                                      for i in range(M - half)]), two)
+        capsys.readouterr()
+        assert main(["verify", "--graph", two, "--cert", cpath]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = re.findall(r"^\[FAIL\] (\w+)", captured.out, re.M)
+        assert failed == ["regularity", "girth", "lambda_max_nontrivial",
+                          "spectral_within_threshold", "localized_0"]
 
     def test_verify_out_of_range_support_fails(self, mcgee_file, tmp_path,
                                                capsys):

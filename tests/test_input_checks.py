@@ -10,9 +10,10 @@ from scargraph.base import LpsParams, legendre_symbol
 from scargraph.certificate import build_certificate
 from scargraph.cli import main
 from scargraph.graphs import (MAX_VERTICES, build_graph, bfs_distances,
-                              is_regular, shortest_cycle_through,
-                              vertex_expansion)
-from scargraph.named import complete_graph, cycle_graph, random_regular_graph
+                              is_regular, save_edge_list,
+                              shortest_cycle_through, vertex_expansion)
+from scargraph.named import (complete_graph, cycle_graph, mcgee_graph,
+                             random_regular_graph)
 from scargraph.pairing import path_count_cumulative, path_count_total
 from scargraph.qe import partial_localization, qe_average, scarring_witness
 from scargraph.scars import (ScarredGraph, carve_site, glue, greedy_packing,
@@ -61,6 +62,21 @@ class TestCliExitTwo:
         _exit_two(capsys, ["base", "lps", "--p", str(p), "--q", str(q),
                            "--out", str(out)], message)
         assert not out.exists()
+
+    # d must lie in [0, MAX_VERTICES): 10 ** 400 overflowed sqrt, and -1
+    # gave sqrt's bare "math domain error"
+    @pytest.mark.parametrize("d", [-1, 10 ** 400])
+    @pytest.mark.parametrize("cmd", ["validate", "construct"])
+    def test_base_degree_out_of_range(self, tmp_path, capsys, cmd, d):
+        base = tmp_path / "mcgee.edges"
+        save_edge_list(mcgee_graph(), base)
+        argv = {"validate": ["base", "validate", "--graph", str(base)],
+                "construct": ["construct", "--base", str(base), "--sites", "1",
+                              "--out", str(tmp_path / "g.edges"),
+                              "--cert", str(tmp_path / "c.json")]}[cmd]
+        _exit_two(capsys, argv + ["--d", str(d), "--r", "1"],
+                  f"d must lie in [0, {MAX_VERTICES})")
+        assert [p.name for p in tmp_path.iterdir()] == ["mcgee.edges"]
 
 
 class TestGraphChecks:

@@ -13,6 +13,7 @@ from conftest import cycle_through_edge_reference
 from scargraph import scars
 from scargraph.certificate import girth_required
 from scargraph.graphs import MAX_VERTICES, _hop_distances, build_graph, girth
+from scargraph.named import random_regular_graph
 from scargraph.pairing import (_BIG, _SwapState, _attach_tree,
                                _batched_cycle_scan, _cycle_through_edge,
                                _run_swaps, girth_target, guaranteed_girth,
@@ -281,11 +282,12 @@ class TestCycleThroughEdge:
     @given(scan_inputs())
     def test_matches_one_sided_bfs(self, inputs):
         state = inputs[0]
-        edges = [(u, v) for u in range(state.n) for v in state.lists[u]]
+        adj = state.to_graph().adjacency_lists()
+        edges = [(u, v) for u in range(state.n) for v in adj[u]]
         for cutoff in range(13):
             for x, p in edges:
-                assert _cycle_through_edge(state.lists, x, p, cutoff) == \
-                    cycle_through_edge_reference(state.lists, x, p, cutoff)
+                assert _cycle_through_edge(state.table, x, p, cutoff) == \
+                    cycle_through_edge_reference(adj, x, p, cutoff)
 
 
 @st.composite
@@ -318,7 +320,7 @@ def block_scan_inputs(draw):
 
 def assert_scan_matches_oracle(state, points, parents):
     for cutoff in range(13):
-        expected = [_cycle_through_edge(state.lists, int(x), int(p), cutoff)
+        expected = [_cycle_through_edge(state.table, int(x), int(p), cutoff)
                     for x, p in zip(points, parents)]
         got = _batched_cycle_scan(state, points, parents, cutoff)
         assert got.tolist() == expected, cutoff
@@ -330,7 +332,7 @@ class TestBatchedCycleScan:
     def test_matches_scalar_oracle(self, inputs):
         state, points, parents = inputs
         for cutoff in range(13):
-            expected = [_cycle_through_edge(state.lists, int(x), int(p),
+            expected = [_cycle_through_edge(state.table, int(x), int(p),
                                             cutoff)
                         for x, p in zip(points, parents)]
             got = _batched_cycle_scan(state, points, parents, cutoff)
@@ -340,7 +342,7 @@ class TestBatchedCycleScan:
     @given(block_scan_inputs())
     def test_block_boundaries_match_scalar_oracle(self, inputs):
         state, points, parents = inputs
-        deg = np.diff(state.indptr)
+        deg = state.to_graph().degrees()
         assert (np.diff(deg) > 0).any()  # the relabelling is not the identity
         assert_scan_matches_oracle(state, points, parents)
 
@@ -378,6 +380,19 @@ class TestBatchedCycleScan:
             tracemalloc.stop()
         assert peak < 8 * 2 ** 20
 
+    def test_swap_state_keeps_only_its_table(self):
+        # the state is its 1.5 MiB table: a Python object per vertex, 65536
+        # of them, would not fit in the 1 MiB left over
+        g = random_regular_graph(65536, 3, seed=1)
+        edges = g.edges()
+        tracemalloc.start()
+        try:
+            state = _SwapState(g.n, edges)
+            kept = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert kept <= state.table.nbytes + 2 ** 20
+
 
 @st.composite
 def swap_inputs(draw):
@@ -401,17 +416,18 @@ def swap_inputs(draw):
 class TestSwapState:
     @settings(max_examples=200, deadline=None)
     @given(swap_inputs())
-    def test_csr_is_append_order_and_swaps_match_rebuild(self, inputs):
+    def test_table_is_append_order_and_swaps_match_rebuild(self, inputs):
         n, edges, swaps = inputs
         rows = [[] for _ in range(n)]
         for u, v in edges:
             rows[u].append(v)
             rows[v].append(u)
         state = _SwapState(n, np.array(edges, dtype=np.int64).reshape(-1, 2))
-        assert state.indptr.tolist() == [0] + list(
-            np.cumsum([len(a) for a in rows]))
-        assert state.indices.tolist() == [w for a in rows for w in a]
-        assert [list(state.lists[v]) for v in range(n)] == rows
+        # each row in edge order, padded with the sentinel n to the largest
+        # degree, and a last row all sentinel
+        width = max(map(len, rows), default=0)
+        assert state.table.tolist() == \
+            [a + [n] * (width - len(a)) for a in rows] + [[n] * width]
         current = {frozenset(e) for e in edges}
         ends = [tuple(e) for e in edges]
         for i, j in swaps:
@@ -432,8 +448,8 @@ class TestSwapState:
 
 class TestPartnerSearch:
     """_SwapState.within against _hop_distances far sets on the graph of
-    the edges the test tracks, before and after exchanges, so the table
-    must stay in sync with the swaps, ``lists`` and ``indices``."""
+    the edges the test tracks, before and after exchanges, so the table,
+    the swap state's only adjacency, must stay in sync with the swaps."""
 
     @staticmethod
     def assert_within_matches(state, current, radii):
@@ -443,10 +459,8 @@ class TestPartnerSearch:
         for x in range(n):
             got = state.within(x, points, radii)
             for radius, mask in zip(radii, got):
-                for indptr, indices in [(g.indptr, g.indices),
-                                        (state.indptr, state.indices)]:
-                    dist = _hop_distances(indptr, indices, [x], radius)
-                    assert mask.tolist() == (dist[points] >= 0).tolist()
+                dist = _hop_distances(g.indptr, g.indices, [x], radius)
+                assert mask.tolist() == (dist[points] >= 0).tolist()
 
     @settings(max_examples=150, deadline=None)
     @given(swap_inputs(), st.integers(0, 6), st.integers(0, 6))
