@@ -1,8 +1,8 @@
 """Command-line front end.
 
 Subcommands: base (lps | validate), pair, construct, spectrum, qe, verify,
-report.  Exit codes: 0 all certified checks pass, 1 a certified check fails,
-2 usage or I/O error.
+report.  Exit codes: 0 all certified checks pass, 1 a certified check fails
+or Lanczos does not converge, 2 usage or I/O error.
 """
 
 from __future__ import annotations
@@ -10,7 +10,6 @@ from __future__ import annotations
 import argparse
 import csv
 import sys
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,53 +20,12 @@ from .graphs import ConstructionError, EdgeListFormatError, save_edge_list
 from .pairing import pair_trees
 from .qe import min_support_for_mass, scarring_witness
 from .scars import multi_glue
-from .spectral import extreme_eigenvalues
+from .spectral import EigensolverError, extreme_eigenvalues
 
 # qe takes every eigenvector from one dense eigh, whatever DENSE_CUTOFF is
 QE_MAX_VERTICES = 4096
 # consecutive eigenvalues at most this far apart share one eigenspace
 EIGENSPACE_GAP = 1e-8
-
-
-@dataclass
-class RunConfig:
-    d: int
-    r: int
-    sites: int
-    seed: int
-    base_file: str | None = None
-    lps_p: int | None = None
-    lps_q: int | None = None
-    out_graph: str | None = None
-    out_cert: str | None = None
-
-    def validate(self):
-        if (self.base_file is None) == (self.lps_p is None):
-            raise ValueError("exactly one base source: --base or --lps P Q")
-        if self.r < 1:
-            raise ValueError("r must be at least 1")
-
-
-def run_pipeline(cfg: RunConfig) -> Certificate:
-    """base -> validate -> construct -> certificate; raises on stage errors."""
-    cfg.validate()
-    if cfg.base_file is not None:
-        h = load_graph(cfg.base_file)
-    else:
-        h = lps_graph(cfg.lps_p, cfg.lps_q)
-    report = validate_base(h, cfg.d, cfg.r)
-    structural = ["regular_d_plus_1", "connected", "girth_exceeds_4r",
-                  "tree_balls_radius_r_plus_1"]
-    bad = [name for name in structural if not report.checks[name]]
-    if bad:
-        raise ConstructionError(f"base validation failed: {', '.join(bad)}")
-    sg = multi_glue(h, cfg.sites, cfg.r, seed=cfg.seed)
-    cert = build_certificate(sg)
-    if cfg.out_graph:
-        save_edge_list(sg.graph, cfg.out_graph)
-    if cfg.out_cert:
-        cert.save(cfg.out_cert)
-    return cert
 
 
 def _cmd_base(args) -> int:
@@ -90,11 +48,23 @@ def _cmd_pair(args) -> int:
 
 
 def _cmd_construct(args) -> int:
-    cfg = RunConfig(d=args.d, r=args.r, sites=args.sites, seed=args.seed,
-                    base_file=args.base, lps_p=args.lps[0] if args.lps else None,
-                    lps_q=args.lps[1] if args.lps else None,
-                    out_graph=args.out, out_cert=args.cert)
-    cert = run_pipeline(cfg)
+    """base -> validate_base -> multi_glue -> certificate; both files are
+    written only after every stage has run."""
+    if (args.base is None) == (args.lps is None):
+        raise ValueError("exactly one base source: --base or --lps P Q")
+    if args.r < 1:
+        raise ValueError("r must be at least 1")
+    h = lps_graph(*args.lps) if args.base is None else load_graph(args.base)
+    report = validate_base(h, args.d, args.r)
+    structural = ["regular_d_plus_1", "connected", "girth_exceeds_4r",
+                  "tree_balls_radius_r_plus_1"]
+    bad = [name for name in structural if not report.checks[name]]
+    if bad:
+        raise ConstructionError(f"base validation failed: {', '.join(bad)}")
+    sg = multi_glue(h, args.sites, args.r, seed=args.seed)
+    cert = build_certificate(sg)
+    save_edge_list(sg.graph, args.out)
+    cert.save(args.cert)
     print(f"M={cert.M} girth={cert.girth} lambda2={cert.lambda_max_nontrivial:.6f}"
           f" threshold={cert.spectral_threshold:.6f}"
           f" localized={len(cert.localized)} alpha={cert.effective_alpha:.4f}")
@@ -287,6 +257,10 @@ def main(argv=None) -> int:
         return 2
     except ConstructionError as exc:
         print(f"construction failed: {exc}", file=sys.stderr)
+        return 1
+    except EigensolverError as exc:
+        # nothing can be certified without the spectrum
+        print(f"eigensolver failed: {exc}", file=sys.stderr)
         return 1
 
 

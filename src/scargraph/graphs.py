@@ -18,12 +18,7 @@ engine's mutable state (``pairing._SwapState``) is one padded neighbour
 table, with no CSR and no per-vertex object, and runs its own BFS on it:
 the partner search, with this kernel's level de-duplication, a
 bidirectional cycle search through a movable edge, and a bit-parallel
-cycle scan whose cap falls to the shortest cycle found.  Mean per call
-over the pairing grid d 2-4, D 1-6 (2-core VM): ``_cycle_through_edge``
-0.017 ms (1427 calls), the partner search 0.11 ms (682 calls), the scan
-1.7 ms (43 calls), where a one-sided cycle search took 0.049 ms, a
-``_hop_distances`` partner search 0.195 ms, and scans capped at the
-target, plus one exact scan per pairing, 2.3 ms (58 calls).
+cycle scan whose cap falls to the shortest cycle found.
 
 Cycle statistics (:func:`girth`, :func:`bs_cycle_fraction`) come from one
 kernel that counts non-backtracking walks for a chunk of sources at once,

@@ -282,8 +282,7 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
 @dataclass
 class _EngineResult:
     swaps: int
-    stalled: bool          # stopped at a local optimum short of the target
-    shortest: int | None   # of the last scan; None if nothing was scanned
+    shortest: int   # of the last scan, exact; below the target on a stall
 
 
 def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
@@ -297,8 +296,11 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     path-count bound promises one (its absence is a hard internal error);
     at or above it we fall back to trying every partner and accepting a swap
     only when neither rewired edge carries a cycle of length <= g afterwards.
-    When even that stalls, the engine stops and reports honestly.  More than
-    10 swaps per point (plus 1000) is a runaway search and raises.
+    When a pass makes no swap the engine stops, a stall that its result
+    reads as ``shortest < target``.  When every point hangs off one parent,
+    as at depth 1, every assignment is the same graph, so the first scan is
+    the last.  More than 10 swaps per point (plus 1000) is a runaway search
+    and raises.
     Per candidate, _cycle_through_edge checks whether an earlier swap
     already cleared it, and one ``state.within`` BFS reads the points within
     guaranteed-2 and target-1 (callers keep guaranteed <= target).
@@ -310,9 +312,8 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     """
     npts = len(points)
     max_swaps = 10 * npts + 1000
-    if len(np.unique(slot_parent)) <= 1:
-        # all leaves hang off one parent: every assignment is the same graph
-        return _EngineResult(0, False, None)
+    # all leaves hang off one parent: every assignment is the same graph
+    one_parent = len(np.unique(slot_parent)) <= 1
     swaps = 0
 
     def do_swap(i, j):
@@ -328,9 +329,9 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
     while True:
         c = _batched_cycle_scan(state, points, slot_parent[slots], state.n,
                                 shrink=True)
-        g = int(c.min())
-        if g >= target:
-            return _EngineResult(swaps, False, g)
+        g = int(c.min(initial=_BIG))  # _BIG: no movable edge on a cycle
+        if g >= target or one_parent:
+            return _EngineResult(swaps, g)
         before = swaps
         for i in np.nonzero(c == g)[0]:
             if clear(i, g):
@@ -360,7 +361,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
             if swaps > max_swaps:
                 raise ConstructionError("swap budget exhausted; not terminating")
         if swaps == before:
-            return _EngineResult(swaps, True, g)
+            return _EngineResult(swaps, g)
 
 
 # -- gluing two trees ----------------------------------------------------------
@@ -442,11 +443,8 @@ def pair_trees(d: int, depth: int, seed: int = 0) -> Pairing:
     guaranteed = guaranteed_girth(d, n)
     res = _run_swaps(state, points, slots, t2p, girth_target(d, n),
                      guaranteed)
-    achieved = res.shortest
-    if achieved is None:  # depth 1: the engine had nothing to scan
-        achieved = int(_batched_cycle_scan(state, points, t2p[slots], total,
-                                           shrink=True).min())
-    if achieved < guaranteed:
+    if res.shortest < guaranteed:
         raise ConstructionError(
-            f"pairing girth {achieved} below guaranteed {guaranteed}")
-    return Pairing(d, depth, slots, state.to_graph(), achieved, res.swaps, seed)
+            f"pairing girth {res.shortest} below guaranteed {guaranteed}")
+    return Pairing(d, depth, slots, state.to_graph(), res.shortest, res.swaps,
+                   seed)

@@ -4,15 +4,14 @@ import re
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 from scipy.linalg import eigh
 
 from conftest import min_support_reference
 from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
-from scargraph.cli import (EIGENSPACE_GAP, QE_MAX_VERTICES, RunConfig, main,
-                           qe_rows, run_pipeline)
-from scargraph.graphs import (MAX_VERTICES, ConstructionError, build_graph,
-                              save_edge_list)
+from scargraph.cli import EIGENSPACE_GAP, QE_MAX_VERTICES, main, qe_rows
+from scargraph.graphs import MAX_VERTICES, build_graph, save_edge_list
 from scargraph.named import cycle_graph, mcgee_graph
 from scargraph.qe import min_support_for_mass, scarring_witness
 from scargraph.scars import multi_glue
@@ -26,29 +25,41 @@ def mcgee_file(tmp_path):
     return str(path)
 
 
-class TestRunPipeline:
-    def test_end_to_end(self, mcgee_file, tmp_path):
-        cfg = RunConfig(d=2, r=1, sites=1, seed=7, base_file=mcgee_file,
-                        out_graph=str(tmp_path / "g.edges"),
-                        out_cert=str(tmp_path / "cert.json"))
-        cert = run_pipeline(cfg)
-        assert cert.M == 26 and cert.all_ok
-        assert (tmp_path / "g.edges").exists()
-        assert (tmp_path / "cert.json").exists()
+def construct_argv(base, tmp_path, *extra, out="g.edges", cert="c.json"):
+    return ["construct", *(["--base", base] if base else []), "--d", "2",
+            "--r", "1", "--sites", "1", *extra,
+            "--out", out and str(tmp_path / out),
+            "--cert", cert and str(tmp_path / cert)]
 
-    def test_exactly_one_base_source(self, mcgee_file):
-        with pytest.raises(ValueError, match="exactly one"):
-            run_pipeline(RunConfig(d=2, r=1, sites=1, seed=0,
-                                   base_file=mcgee_file, lps_p=5, lps_q=29))
-        with pytest.raises(ValueError, match="exactly one"):
-            run_pipeline(RunConfig(d=2, r=1, sites=1, seed=0))
+
+class TestRunPipeline:
+    """The construct command runs the stages itself, through main."""
+
+    def test_end_to_end(self, mcgee_file, tmp_path, capsys):
+        code = main(construct_argv(mcgee_file, tmp_path, "--seed", "7"))
+        out = capsys.readouterr().out
+        assert code == 0
+        assert out.startswith("M=26 ")
+        assert "[FAIL]" not in out and "[PASS]" in out
+        data = json.loads((tmp_path / "c.json").read_text())
+        assert data["M"] == 26 and all(data["checks"].values())
+        assert (tmp_path / "g.edges").read_text().startswith("26 39\n")
+
+    def test_exactly_one_base_source(self, mcgee_file, tmp_path, capsys):
+        for base, source in [(mcgee_file, ["--lps", "5", "29"]), (None, [])]:
+            code = main(construct_argv(base, tmp_path, *source))
+            err = capsys.readouterr().err
+            assert code == 2
+            assert "exactly one base source: --base or --lps P Q" in err
+            assert not (tmp_path / "g.edges").exists()
+            assert not (tmp_path / "c.json").exists()
 
     def test_determinism_byte_identical(self, mcgee_file, tmp_path):
         certs = []
         for run in ("a", "b"):
-            cfg = RunConfig(d=2, r=1, sites=1, seed=9, base_file=mcgee_file,
-                            out_cert=str(tmp_path / f"cert_{run}.json"))
-            run_pipeline(cfg)
+            assert main(construct_argv(mcgee_file, tmp_path, "--seed", "9",
+                                       out=f"g_{run}.edges",
+                                       cert=f"cert_{run}.json")) == 0
             data = json.loads((tmp_path / f"cert_{run}.json").read_text())
             data["created_utc"] = ""
             certs.append(json.dumps(data, sort_keys=True))
@@ -56,9 +67,6 @@ class TestRunPipeline:
 
     def test_base_validation_failure(self, mcgee_file, tmp_path, capsys):
         # McGee has girth 7 <= 4r = 8 at r = 2
-        with pytest.raises(ConstructionError, match="girth_exceeds_4r"):
-            run_pipeline(RunConfig(d=2, r=2, sites=1, seed=0,
-                                   base_file=mcgee_file))
         code = main(["construct", "--base", mcgee_file, "--d", "2", "--r", "2",
                      "--out", str(tmp_path / "g.edges"),
                      "--cert", str(tmp_path / "c.json")])
@@ -66,6 +74,16 @@ class TestRunPipeline:
         assert code == 1
         assert "base validation failed: girth_exceeds_4r" in err
         assert not (tmp_path / "g.edges").exists()
+        assert not (tmp_path / "c.json").exists()
+
+    @pytest.mark.parametrize("cert", ["", "c.json"], ids=["both", "out"])
+    def test_empty_output_path(self, mcgee_file, tmp_path, capsys, cert):
+        # an empty --out is an I/O error, and the certificate is not written
+        code = main(construct_argv(mcgee_file, tmp_path, out="", cert=cert))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "No such file or directory: ''" in err
+        assert "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
     def test_zero_sites_certificate_verifies(self, mcgee_file, tmp_path,
@@ -78,6 +96,37 @@ class TestRunPipeline:
         assert data["k"] == 0 and data["M"] == data["m"] == 24
         assert data["r"] == 1 and not data["localized"]
         assert main(["verify", "--graph", gpath, "--cert", cpath]) == 0
+
+
+def test_eigensolver_failure_exits_1(lps_h, lps_sg, tmp_path, monkeypatch,
+                                     capsys):
+    # every command that runs a Lanczos solve (LPS(5,29) is above the dense
+    # cutoff) reports a failed one in one line, exit 1: nothing is certified
+    base, gpath, cpath = (str(tmp_path / name)
+                          for name in ("h.edges", "g.edges", "c.json"))
+    save_edge_list(lps_h, base)
+    save_edge_list(lps_sg.graph, gpath)
+    build_certificate(lps_sg).save(cpath)
+
+    def stalled(op, k, which, **kw):
+        raise spla.ArpackNoConvergence("stalled", np.array([1.5]),
+                                       np.zeros((op.shape[0], 1)))
+
+    monkeypatch.setattr(spla, "eigsh", stalled)
+    for argv in (["base", "validate", "--graph", base, "--d", "5", "--r", "1"],
+                 ["construct", "--base", base, "--d", "5", "--r", "1",
+                  "--out", str(tmp_path / "out.edges"),
+                  "--cert", str(tmp_path / "out.json")],
+                 ["spectrum", "--graph", gpath, "--out",
+                  str(tmp_path / "spec.csv")],
+                 ["verify", "--graph", gpath, "--cert", cpath]):
+        code = main(argv)
+        err = capsys.readouterr().err
+        assert code == 1, argv
+        assert re.fullmatch(r"eigensolver failed: Lanczos \((LA|LM)\) did "
+                            r"not converge within \d+ iterations\n", err), err
+        assert "Traceback" not in err
+    assert not (tmp_path / "out.json").exists()
 
 
 def run_cli(*args):

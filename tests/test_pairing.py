@@ -13,7 +13,7 @@ from conftest import cycle_through_edge_reference
 from scargraph import scars
 from scargraph.certificate import girth_required
 from scargraph.graphs import MAX_VERTICES, _hop_distances, build_graph, girth
-from scargraph.named import random_regular_graph
+from scargraph.named import cycle_graph, random_regular_graph
 from scargraph.pairing import (_BIG, _SwapState, _attach_tree,
                                _batched_cycle_scan, _cycle_through_edge,
                                _run_swaps, girth_target, guaranteed_girth,
@@ -233,7 +233,7 @@ class TestPathCountFallback:
             state = _SwapState(total, np.concatenate([t1, t2]))
             guaranteed = guaranteed_girth(d, len(points))
             res = _run_swaps(state, points, slots, t2p, 100, guaranteed)
-            assert res.stalled
+            assert res.shortest < 100
             assert girth(state.to_graph()) >= guaranteed
             got.append(res.swaps)
         assert got == swaps
@@ -558,7 +558,7 @@ class TestEngineShortest:
         for target in (girth_target(d, n), 100):  # 100 stalls
             res = _run_swaps(state, points, slots, t2p, target,
                              guaranteed_girth(d, n))
-            assert res.stalled == (target == 100)
+            assert (res.shortest < target) == (target == 100)
             assert res.shortest == exact_minimum(state, points, slots, t2p)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -579,17 +579,29 @@ class TestEngineShortest:
         for shortest, exact in seen:
             assert shortest == exact
 
-    def test_one_parent_scans_nothing(self, mcgee, monkeypatch):
-        # at r = 1 each tree's leaves hang off its root
+    def test_one_parent_makes_no_swap(self, mcgee, monkeypatch):
+        # at r = 1 each tree's leaves hang off its root: one scan, no swap
         seen = []
 
-        def recording(*args):
-            seen.append(_run_swaps(*args))
-            return seen[-1]
+        def checked(state, points, slots, slot_parent, target, guaranteed):
+            res = _run_swaps(state, points, slots, slot_parent, target,
+                             guaranteed)
+            seen.append((res.swaps, res.shortest,
+                         exact_minimum(state, points, slots, slot_parent)))
+            return res
 
-        monkeypatch.setattr(scars, "_run_swaps", recording)
+        monkeypatch.setattr(scars, "_run_swaps", checked)
         scars.multi_glue(mcgee, 1, 1, seed=7)
-        assert [res.shortest for res in seen] == [None, None]
+        assert len(seen) == 2
+        for swaps, shortest, exact in seen:
+            assert swaps == 0 and shortest == exact
+
+    def test_no_movable_edges(self):
+        # nothing to scan: no cycle through a movable edge, no swap
+        state = _SwapState(10, cycle_graph(10).edges())
+        none = np.zeros(0, dtype=np.int64)
+        res = _run_swaps(state, none, none, none, 12, 3)
+        assert (res.swaps, res.shortest) == (0, _BIG)
 
     @pytest.mark.parametrize("d", [2, 3, 4])
     @pytest.mark.parametrize("D", range(1, 7))
