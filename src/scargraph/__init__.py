@@ -2,11 +2,11 @@
 eigenvectors: construction by gluing trees onto an expander base, plus
 numerical certification of girth, spectrum, localization and scarring."""
 
-from .graphs import (Ball, ConstructionError, DistanceMap,
-                     EdgeListFormatError, Graph, ball, bfs_distances,
-                     bs_cycle_fraction, build_graph, girth, is_bipartite,
-                     is_connected, is_regular, load_edge_list,
-                     save_edge_list, shortest_cycle_through, vertex_expansion)
+from .graphs import (Ball, ConstructionError, EdgeListFormatError, Graph,
+                     ball, bfs_distances, bs_cycle_fraction, build_graph,
+                     girth, is_bipartite, is_connected, is_regular,
+                     load_edge_list, save_edge_list, shortest_cycle_through,
+                     vertex_expansion)
 from .named import (complete_graph, cycle_graph, mcgee_graph, path_graph,
                     petersen_graph, random_regular_graph,
                     random_regular_with_girth, star_graph)

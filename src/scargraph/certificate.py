@@ -174,7 +174,7 @@ def _derived_fields(d: int, r: int, k: int, M: int, m: int):
             M - 2 * k * interior_size(d, r), alpha)
 
 
-def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
+def build_certificate(sg: ScarredGraph) -> Certificate:
     """Measure and record every certified quantity of a scarred graph; its
     checks map holds _judge's verdicts on these measurements, failures
     recorded, never raised.  A depth r multi_glue refuses raises its
@@ -203,15 +203,14 @@ def build_certificate(sg: ScarredGraph, timestamp: bool = True) -> Certificate:
                 *_record_flags(sid, ids, lam, sites, d)))
             measured.append((norm2(nu), rinf, wit))
 
-    created = datetime.datetime.now(datetime.timezone.utc).isoformat() \
-        if timestamp else ""
     cert = Certificate(
         d=d, r=r, k=k, m=m, M=M, seed=sg.seed, seeds_used=list(sg.seeds_used),
         girth=gv, girth_bound=bound, girth_required=required,
         lambda_max_nontrivial=summary.lambda2_abs,
         spectral_threshold=thm, proposition_threshold=prop,
         effective_alpha=alpha, spectral_method=summary.method,
-        localized=localized, sites=sites, checks={}, created_utc=created)
+        localized=localized, sites=sites, checks={},
+        created_utc=datetime.datetime.now(datetime.timezone.utc).isoformat())
     items = _judge(cert, M, is_regular(g), gv, summary.lambda2_abs, measured)
     cert.checks = {it.name: it.ok for it in items}
     return cert
@@ -260,7 +259,8 @@ def _judge(cert: Certificate, n: int, deg, gv, lam2, records) -> list:
     its vector's (norm, max-norm residual, witness), or None when it reads
     as none.  Tolerances are fixed, never the certificate's; counts, girth
     bounds, m, effective_alpha and every verdict are re-derived, and each
-    vector must be of unit norm, in its site and with |lambda| < 2 sqrt d."""
+    vector must be of unit norm, in its site and with |lambda| < 2 sqrt d,
+    and its record must say so and record a residual <= RESIDUAL_TOL."""
     items = []
 
     def check(name, ok, detail=""):
@@ -309,9 +309,11 @@ def _judge(cert: Certificate, n: int, deg, gv, lam2, records) -> list:
             and abs(wit - rec.witness_value) <= 1e-12
         in_site, interior = _record_flags(rec.site_id, rec.support,
                                           rec.eigenvalue, cert.sites, cert.d)
-        check(f"localized_{i}", ok and in_site and interior,
+        recorded = rec.residual_inf <= RESIDUAL_TOL and (
+            rec.support_in_site, rec.interior_eigenvalue) == (in_site, interior)
+        check(f"localized_{i}", ok and in_site and interior and recorded,
               f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "
-              f"in_site={in_site} interior={interior}")
+              f"in_site={in_site} interior={interior} record_agrees={recorded}")
     return items
 
 

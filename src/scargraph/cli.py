@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import os
 import sys
 
 import numpy as np
@@ -49,7 +50,7 @@ def _cmd_pair(args) -> int:
 
 def _cmd_construct(args) -> int:
     """base -> validate_base -> multi_glue -> certificate; both files are
-    written only after every stage has run."""
+    written last, and no edge list is left without its certificate."""
     if (args.base is None) == (args.lps is None):
         raise ValueError("exactly one base source: --base or --lps P Q")
     if args.r < 1:
@@ -64,7 +65,11 @@ def _cmd_construct(args) -> int:
     sg = multi_glue(h, args.sites, args.r, seed=args.seed)
     cert = build_certificate(sg)
     save_edge_list(sg.graph, args.out)
-    cert.save(args.cert)
+    try:
+        cert.save(args.cert)
+    except OSError:
+        os.remove(args.out)
+        raise
     print(f"M={cert.M} girth={cert.girth} lambda2={cert.lambda_max_nontrivial:.6f}"
           f" threshold={cert.spectral_threshold:.6f}"
           f" localized={len(cert.localized)} alpha={cert.effective_alpha:.4f}")
@@ -139,9 +144,8 @@ def _cmd_qe(args) -> int:
     from scipy.linalg import eigh
     g = load_graph(args.graph)
     if g.n > QE_MAX_VERTICES:
-        print("qe statistics need the full eigenbasis; graph exceeds "
-              f"{QE_MAX_VERTICES} vertices", file=sys.stderr)
-        return 2
+        raise ValueError("qe statistics need the full eigenbasis; graph "
+                         f"exceeds {QE_MAX_VERTICES} vertices")
     cert = Certificate.load(args.cert)
     if cert.M != g.n:
         raise ValueError(f"certificate is for M = {cert.M} vertices but the "

@@ -5,9 +5,9 @@ builds on.
 Vertices are dense integer indices ``0..n-1``.  Adjacency is stored in CSR
 form (an offset array plus one flat, per-vertex-sorted neighbor array) so
 traversals stay cache friendly.  The CSR is the only adjacency a graph
-keeps: a scipy sparse matrix is derived lazily and cached, and Python
-adjacency lists are built anew on each request.  A :class:`Graph` is
-immutable after construction, so all queries are safe to run concurrently.
+keeps; a scipy sparse matrix is derived from it lazily and cached.  A
+:class:`Graph` is immutable after construction, so all queries are safe to
+run concurrently.
 
 Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
 :func:`shortest_cycle_through`, the layers around a vertex set, site
@@ -94,13 +94,6 @@ class Graph:
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
 
-    def adjacency_lists(self) -> tuple:
-        """Per-vertex neighbor lists as plain Python lists, built on each
-        call; callers that loop over them keep the tuple they get."""
-        idx = self.indices.tolist()
-        ptr = self.indptr.tolist()
-        return tuple(idx[ptr[v]:ptr[v + 1]] for v in range(self.n))
-
     def csr(self) -> sp.csr_matrix:
         """Adjacency as a scipy CSR matrix with float64 data (cached)."""
         if self._csr is None:
@@ -170,12 +163,6 @@ def _graph_from_half_edges(n, lo, hi) -> Graph:
     return Graph(n, indptr, dst.astype(np.int32))
 
 
-@dataclass
-class DistanceMap:
-    """``dist``: hop counts from one source; -1 past the cap or unreached."""
-    dist: np.ndarray
-
-
 def _neighbours(indptr: np.ndarray, indices: np.ndarray, rows: np.ndarray):
     """The neighbour lists of ``rows`` in the CSR graph (indptr, indices),
     concatenated by one index array, and the length of each list."""
@@ -215,12 +202,13 @@ def _hop_distances(indptr: np.ndarray, indices: np.ndarray, sources,
     return dist
 
 
-def bfs_distances(g: Graph, source: int, cap: int | None = None) -> DistanceMap:
+def bfs_distances(g: Graph, source: int, cap: int | None = None) -> np.ndarray:
+    """Hop counts from ``source`` as int64; -1 past ``cap`` or unreached."""
     if not 0 <= source < g.n:
         raise ValueError(f"source {source} out of range")
     if cap is not None and cap < 0:
         raise ValueError(f"cap must be nonnegative, got {cap}")
-    return DistanceMap(_hop_distances(g.indptr, g.indices, [source], cap))
+    return _hop_distances(g.indptr, g.indices, [source], cap)
 
 
 # Entries one path-count matrix may hold per chunk of sources; the chunk is
@@ -380,8 +368,8 @@ def ball(g: Graph, v: int, radius: int) -> Ball:
     """Induced subgraph on all vertices within ``radius`` hops of v."""
     if radius < 0:
         raise ValueError(f"radius must be nonnegative, got {radius}")
-    dm = bfs_distances(g, v, cap=radius)
-    layers = [np.sort(np.nonzero(dm.dist == r)[0]) for r in range(radius + 1)]
+    dist = bfs_distances(g, v, cap=radius)
+    layers = [np.sort(np.nonzero(dist == r)[0]) for r in range(radius + 1)]
     layers = [lay for lay in layers if len(lay)]
     verts = np.concatenate(layers)
     # the ball's rows in local ids; an outside end is -1, so src < dst keeps

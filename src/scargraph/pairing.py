@@ -200,15 +200,15 @@ _BLOCK_WORDS = 4
 
 
 def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
-                        parents: np.ndarray, cutoff: int,
-                        shrink: bool = False) -> np.ndarray:
-    """Cycle length through each movable edge (points[i], parents[i]), with
-    lengths above ``cutoff`` reported as _BIG.
+                        parents: np.ndarray) -> np.ndarray:
+    """Cycle lengths through the movable edges (points[i], parents[i]), of
+    which only the minimum and the indices at it are exact; all _BIG when
+    no movable edge lies on a cycle.
 
-    With ``shrink`` only the minimum and the indices at it are exact, as in
-    graphs._first_cycle_lengths: a block stops at its first step that
-    closes cycles, all recorded, and their length becomes the cutoff of
-    later blocks, which still find every edge at that length or below.
+    As in graphs._first_cycle_lengths, the cutoff only falls: it starts at
+    n, a block stops at its first step that closes cycles, all recorded,
+    and their length becomes the cutoff of later blocks, which still find
+    every edge at that length or below.
 
     A bit-parallel BFS runs from a block of up to 256 points at once (Then
     et al., VLDB 2014): source i of the block owns bit i % 64 of word
@@ -232,7 +232,7 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
     # a row's degree is its count of non-sentinel entries
     deg = np.count_nonzero(state.table[:-1] != n, axis=1)
     width = int(deg.max(initial=0))
-    if cutoff < 3 or not npts or not width:
+    if not npts or not width:
         return out
     order = np.argsort(-deg, kind="stable")
     new = np.full(n + 1, n, dtype=np.int64)     # the sentinel n stays n
@@ -246,6 +246,7 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
     bit = np.left_shift(np.uint64(1), (src % 64).astype(np.uint64))
     front, nxt, unvisited, buf = (
         np.empty((n, block // 64), dtype=np.uint64) for _ in range(4))
+    cutoff = n
     for s in range(0, npts, block):
         p, q, res = pts[s:s + block], pars[s:s + block], out[s:s + block]
         w, b = word[:len(p)], bit[:len(p)]
@@ -268,10 +269,10 @@ def _batched_cycle_scan(state: _SwapState, points: np.ndarray,
             unvisited ^= nxt
             hit = (res == _BIG) & ((nxt[q, w] & b) != 0)
             res[hit] = dist + 1
-            if shrink and hit.any():
+            if hit.any():
                 cutoff = dist + 1
                 break
-            if (res < _BIG).all() or not nxt.any():
+            if not nxt.any():
                 break
             front, nxt = nxt, front
     return out
@@ -327,8 +328,7 @@ def _run_swaps(state: _SwapState, points: np.ndarray, slots: np.ndarray,
                                    int(slot_parent[slots[i]]), g) > g
 
     while True:
-        c = _batched_cycle_scan(state, points, slot_parent[slots], state.n,
-                                shrink=True)
+        c = _batched_cycle_scan(state, points, slot_parent[slots])
         g = int(c.min(initial=_BIG))  # _BIG: no movable edge on a cycle
         if g >= target or one_parent:
             return _EngineResult(swaps, g)

@@ -129,7 +129,7 @@ def greedy_packing(g: Graph, min_dist: int, limit=None) -> np.ndarray:
 def _check_site_separation(h: Graph, sites, r: int):
     roots = [s.root for s in sites]
     for i, u in enumerate(roots):
-        dist = bfs_distances(h, u, cap=4 * r).dist
+        dist = bfs_distances(h, u, cap=4 * r)
         for v in roots[i + 1:]:
             if dist[v] >= 0:
                 raise ValueError(

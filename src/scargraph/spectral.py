@@ -24,11 +24,7 @@ KAHALE_TOL = 1e-9       # slack on kahale_check's inequalities
 
 
 class EigensolverError(RuntimeError):
-    """Iterative eigensolver failed to converge; carries partial results."""
-
-    def __init__(self, msg, partial=None):
-        super().__init__(msg)
-        self.partial = partial
+    """Iterative eigensolver failed to converge."""
 
 
 @dataclass
@@ -39,7 +35,6 @@ class SpectralSummary:
     iterations: int
     residual_bound: float
     pairs: list                      # (eigenvalue, residual 2-norm) extremes
-    eigenvalues: np.ndarray | None = None   # full spectrum on the dense path
     lambda2_vector: np.ndarray | None = None  # None: Lanczos, not regular
 
 
@@ -86,7 +81,7 @@ def extreme_eigenvalues(g: Graph, how_many: int = 2) -> SpectralSummary:
         raise ValueError("graph must be connected")
     if g.n <= DENSE_CUTOFF:
         return _extreme_dense(g, how_many)
-    return _extreme_iterative(g, how_many, LANCZOS_TOL, LANCZOS_SEED)
+    return _extreme_iterative(g, how_many)
 
 
 def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
@@ -99,13 +94,13 @@ def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
     pairs = [(float(w[i]), residual(g, vecs[:, i], w[i])[1])
              for i in sorted(picks, reverse=True)]
     return SpectralSummary(float(w[-1]), lam2, "dense", 0,
-                           max(r for _, r in pairs), pairs, w, vecs[:, i2])
+                           max(r for _, r in pairs), pairs, vecs[:, i2])
 
 
-def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
+def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     a = g.csr()
     n = g.n
-    v0 = np.random.default_rng(seed).standard_normal(n)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
     count = [0]
 
     def mv(x):
@@ -123,7 +118,7 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     if k:
         pairs = []
         for which in ("LA", "SA"):
-            w, vv = _lanczos(mv, n, k, which, v0, tol)
+            w, vv = _lanczos(mv, n, k, which, v0)
             pairs += [(float(lam), residual(g, vec, lam)[1])
                       for lam, vec in zip(w, vv.T)]
         pairs.sort(key=lambda p: -p[0])
@@ -133,7 +128,7 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
     if deg is None:
         lam2, v2 = max(abs(pairs[1][0]), abs(pairs[-1][0])), None
     else:
-        w, vv = _lanczos(deflated, n, 1, "LM", v0, tol)
+        w, vv = _lanczos(deflated, n, 1, "LM", v0)
         v2 = vv[:, 0] - vv[:, 0].mean()
         v2 /= norm2(v2)
         lam2 = abs(float(w[0]))
@@ -144,17 +139,16 @@ def _extreme_iterative(g: Graph, how_many, tol, seed) -> SpectralSummary:
                            pairs, lambda2_vector=v2)
 
 
-def _lanczos(matvec, n, k, which, v0, tol):
+def _lanczos(matvec, n, k, which, v0):
     """eigsh on the n x n operator ``matvec``: k Ritz pairs at ``which``."""
     maxiter = int(50 * math.sqrt(n)) + 100
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
-        return spla.eigsh(op, k=k, which=which, v0=v0, tol=tol,
+        return spla.eigsh(op, k=k, which=which, v0=v0, tol=LANCZOS_TOL,
                           maxiter=maxiter)
     except spla.ArpackNoConvergence as exc:
-        raise EigensolverError(
-            f"Lanczos ({which}) did not converge within {maxiter} iterations",
-            partial=exc.eigenvalues) from exc
+        raise EigensolverError(f"Lanczos ({which}) did not converge within "
+                               f"{maxiter} iterations") from exc
 
 
 def second_eigenvector(g: Graph):

@@ -9,7 +9,6 @@ the full tree.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
@@ -105,13 +104,6 @@ class RadialSpectrum:
     depth: int
     eigenvalues: np.ndarray      # ascending
     profiles: np.ndarray         # shape (depth+1, depth+1)
-
-    def to_csv(self, path) -> None:
-        with open(path, "w", newline="", encoding="utf-8") as fh:
-            w = csv.writer(fh)
-            for lam, prof in zip(self.eigenvalues, self.profiles):
-                w.writerow([self.depth, repr(float(lam))]
-                           + [repr(float(x)) for x in prof])
 
 
 def radial_spectrum(d: int, depth: int) -> RadialSpectrum:

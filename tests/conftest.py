@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy.linalg import eigh
@@ -60,11 +62,22 @@ def mcgee_sg_eigh(mcgee_sg):
     return w, vecs
 
 
+def adjacency_lists(g):
+    """Per-vertex neighbour lists of g as plain Python lists."""
+    return [g.neighbors(v).tolist() for v in range(g.n)]
+
+
+def timeless(cert):
+    """The certificate with ``created_utc`` blanked, the one field a seeded
+    build does not fix."""
+    return dataclasses.replace(cert, created_utc="")
+
+
 def brute_force_girth(g):
     """Exhaustive simple-cycle enumeration; cycles are counted once via
     their minimal vertex.  Only for small graphs."""
     import math
-    adj = g.adjacency_lists()
+    adj = adjacency_lists(g)
     best = math.inf
 
     def dfs(start, v, visited, length):

@@ -24,6 +24,7 @@ from scargraph.spectral import (kahale_check, kahale_instance,
                                 spectral_threshold)
 from scargraph.trees import build_dary_tree, lift_radial, radial_spectrum
 
+from conftest import timeless
 from test_pairing import alternating_path_counts
 
 
@@ -257,7 +258,7 @@ def test_10_determinism_and_round_trip(mcgee, tmp_path):
         certs = []
         for _ in range(2):
             sg = multi_glue(mcgee, 1, 1, seed=7)
-            certs.append(build_certificate(sg, timestamp=False))
+            certs.append(timeless(build_certificate(sg)))
         assert certs[0].to_json() == certs[1].to_json()
         sg = multi_glue(mcgee, 1, 1, seed=7)
         cert = build_certificate(sg)

@@ -7,12 +7,14 @@ import pytest
 
 import scargraph.certificate
 from scargraph.base import lps_graph
-from scargraph.certificate import (SPECTRAL_TOL, Certificate,
+from scargraph.certificate import (RESIDUAL_TOL, SPECTRAL_TOL, Certificate,
                                    build_certificate, girth_bound,
                                    girth_required, verify_certificate)
 from scargraph.graphs import _hop_distances, build_graph, girth
 from scargraph.named import petersen_graph
 from scargraph.scars import multi_glue
+
+from conftest import adjacency_lists, timeless
 
 
 class TestBounds:
@@ -52,8 +54,8 @@ class TestBuildCertificate:
         assert loaded.to_dict() == cert.to_dict()
 
     def test_determinism_modulo_timestamp(self, mcgee_sg):
-        a = build_certificate(mcgee_sg, timestamp=False)
-        b = build_certificate(mcgee_sg, timestamp=False)
+        a = timeless(build_certificate(mcgee_sg))
+        b = timeless(build_certificate(mcgee_sg))
         assert a.to_json() == b.to_json()
 
 
@@ -111,6 +113,26 @@ class TestVerifyCertificate:
         assert not report.passed
         failed = [it.name for it in report.items if not it.ok]
         assert failed == ["localized_0"]
+
+    @pytest.mark.parametrize("key,value,ok", [
+        ("support_in_site", False, False),
+        ("interior_eigenvalue", False, False),
+        ("residual_inf", 7.0, False),
+        ("residual_inf", 2 * RESIDUAL_TOL, False),
+        ("residual_inf", RESIDUAL_TOL, True),
+    ], ids=["in-site", "interior", "residual", "residual-above-tol",
+            "residual-at-tol"])
+    def test_record_flags_are_judged(self, mcgee_sg, key, value, ok):
+        # the vector is the built one, so only what its record says of it
+        # can fail: flags unlike the re-derived ones, or a residual above
+        # RESIDUAL_TOL
+        data = build_certificate(mcgee_sg).to_dict()
+        data["localized"][0][key] = value
+        report = verify_certificate(mcgee_sg.graph,
+                                    Certificate.from_dict(data))
+        assert report.passed is ok
+        assert [it.name for it in report.items if not it.ok] \
+            == ([] if ok else ["localized_0"])
 
     def test_zero_vector_fails_its_record_without_raising(self, mcgee_sg):
         # residual() rejects a zero vector, so its norm must fail it first
@@ -410,7 +432,7 @@ def _close_triangle(sg):
     g = sg.graph
     sites = [v for site in sg.sites for v in np.concatenate([site.v1, site.v2])]
     far = _hop_distances(g.indptr, g.indices, sites, 4) < 0
-    adj = g.adjacency_lists()
+    adj = adjacency_lists(g)
     for b in np.nonzero(far)[0].tolist():
         a, c = adj[b][:2]
         x = next(v for v in adj[a] if v != b)
@@ -436,7 +458,7 @@ class TestVerdictsAreRederived:
                         [(c + h.n, d + h.n), (a, b)],
                         [(a, c + h.n), (b, d + h.n)])
         sg = multi_glue(two, 1, 1, seed=1)
-        cert = build_certificate(sg, timestamp=False)
+        cert = build_certificate(sg)
         assert cert.lambda_max_nontrivial > 13.9 > cert.spectral_threshold
         assert [n for n, ok in cert.checks.items() if not ok] == [
             "spectral_within_threshold"]
@@ -451,7 +473,7 @@ class TestVerdictsAreRederived:
         # r = 2 needs girth 4; a triangle far from the site breaks only that
         sg = _close_triangle(multi_glue(cubic6, 1, 2, seed=1))
         assert girth(sg.graph) == 3 == girth_bound(2, 2) < girth_required(2, 2)
-        cert = build_certificate(sg, timestamp=False)
+        cert = build_certificate(sg)
         assert [n for n, ok in cert.checks.items() if not ok] == [
             "girth_at_least_required"]
         data = cert.to_dict()
@@ -467,7 +489,7 @@ class TestVerdictsAreRederived:
         # recorded girth and both verdicts agree with it, yet both re-derived
         # verdicts fail
         sg = _close_triangle(multi_glue(cubic6, 1, 2, seed=1))
-        data = build_certificate(sg, timestamp=False).to_dict()
+        data = build_certificate(sg).to_dict()
         data["girth"] = 2
         data["checks"]["girth_at_least_required"] = True
         monkeypatch.setattr("scargraph.certificate.girth", lambda g: 2)
@@ -516,7 +538,7 @@ class TestOneJudge:
 
     def test_builder_and_verifier_agree(self, case):
         sg, failing = case
-        cert = build_certificate(sg, timestamp=False)
+        cert = build_certificate(sg)
         items = [it for it in verify_certificate(sg.graph, cert).items
                  if it.name != "recorded_checks"]
         assert cert.checks == {it.name: it.ok for it in items}
@@ -547,7 +569,7 @@ class TestOneJudge:
         assert mcgee_sg.girth is not None
         sg = mcgee_sg if known_girth \
             else dataclasses.replace(mcgee_sg, girth=None)
-        cert = build_certificate(sg, timestamp=False)
+        cert = build_certificate(sg)
         assert calls == {"girth": 0 if known_girth else 1,
                          "extreme_eigenvalues": 1}
         assert cert.all_ok and cert.girth == 4

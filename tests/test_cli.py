@@ -86,6 +86,18 @@ class TestRunPipeline:
         assert "Traceback" not in err
         assert not (tmp_path / "c.json").exists()
 
+    def test_unwritable_certificate_leaves_no_edge_list(self, mcgee_file,
+                                                        tmp_path, capsys):
+        # the edge list is written first and removed again when the
+        # certificate's directory does not exist
+        code = main(construct_argv(mcgee_file, tmp_path,
+                                   cert="nodir/c.json"))
+        err = capsys.readouterr().err
+        assert code == 2
+        assert "No such file or directory" in err
+        assert "Traceback" not in err
+        assert not (tmp_path / "g.edges").exists()
+
     def test_zero_sites_certificate_verifies(self, mcgee_file, tmp_path,
                                              capsys):
         gpath = str(tmp_path / "g.edges")
@@ -449,6 +461,8 @@ class TestSubcommands:
         assert main(["qe", "--graph", big, "--cert", cpath,
                      "--out", str(qpath)]) == 2
         err = capsys.readouterr().err
+        # reported by main, as every usage error is
+        assert err.startswith("error: ")
         assert "full eigenbasis" in err and str(QE_MAX_VERTICES) in err
         assert not qpath.exists()
         # the full-basis limit does not follow the eigensolver's cutoff

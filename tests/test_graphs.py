@@ -460,15 +460,15 @@ class TestDistances:
         rng = np.random.default_rng(17)
         for _ in range(20):
             g = random_small_graph(rng)
-            dm = bfs_distances(g, 0)
+            dist = bfs_distances(g, 0)
             for u, v in g.edges():
-                du, dv = dm.dist[u], dm.dist[v]
+                du, dv = dist[u], dist[v]
                 if du >= 0 and dv >= 0:
                     assert abs(int(du) - int(dv)) <= 1
 
     def test_cap(self):
-        dm = bfs_distances(cycle_graph(10), 0, cap=2)
-        assert (dm.dist >= 0).sum() == 5
+        dist = bfs_distances(cycle_graph(10), 0, cap=2)
+        assert (dist >= 0).sum() == 5
 
     @settings(max_examples=200, deadline=None)
     @given(small_graphs(), st.data())
@@ -479,7 +479,7 @@ class TestDistances:
         cap = data.draw(st.none() | st.integers(0, 6))
         expected = nx.single_source_shortest_path_length(
             to_networkx(g), source, cutoff=cap)
-        dist = bfs_distances(g, source, cap=cap).dist
+        dist = bfs_distances(g, source, cap=cap)
         assert {v: int(x) for v, x in enumerate(dist) if x >= 0} == expected
 
 

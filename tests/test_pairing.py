@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import cycle_through_edge_reference
+from conftest import adjacency_lists, cycle_through_edge_reference
 from scargraph import scars
 from scargraph.certificate import girth_required
 from scargraph.graphs import MAX_VERTICES, _hop_distances, build_graph, girth
@@ -64,7 +64,7 @@ def alternating_path_counts(pairing, source_slot, max_len):
     identified vertex, counted by (length, number of identified vertices
     hit after the start).  Independent oracle for the closed-form counts."""
     g = pairing.glued
-    adj = g.adjacency_lists()
+    adj = adjacency_lists(g)
     deg = g.degrees()
     identified = set(int(v) for v in np.nonzero(deg == 2)[0])
     start = sorted(identified)[source_slot]
@@ -282,7 +282,7 @@ class TestCycleThroughEdge:
     @given(scan_inputs())
     def test_matches_one_sided_bfs(self, inputs):
         state = inputs[0]
-        adj = state.to_graph().adjacency_lists()
+        adj = adjacency_lists(state.to_graph())
         edges = [(u, v) for u in range(state.n) for v in adj[u]]
         for cutoff in range(13):
             for x, p in edges:
@@ -318,25 +318,29 @@ def block_scan_inputs(draw):
             np.array([q for _, q in pairs], dtype=np.int64))
 
 
-def assert_scan_matches_oracle(state, points, parents):
-    for cutoff in range(13):
-        expected = [_cycle_through_edge(state.table, int(x), int(p), cutoff)
-                    for x, p in zip(points, parents)]
-        got = _batched_cycle_scan(state, points, parents, cutoff)
-        assert got.tolist() == expected, cutoff
+def scalar_oracle(state):
+    """Cycle length through one movable edge, by _cycle_through_edge
+    uncapped."""
+    return lambda x, p: _cycle_through_edge(state.table, x, p, state.n)
+
+
+def assert_scan_matches_oracle(state, points, parents, oracle=scalar_oracle):
+    # the scan's one contract: the minimum and the indices at it
+    length = oracle(state)
+    expected = np.array([length(int(x), int(p))
+                         for x, p in zip(points, parents)], dtype=np.int64)
+    got = _batched_cycle_scan(state, points, parents)
+    low = int(expected.min(initial=_BIG))
+    assert int(got.min(initial=_BIG)) == low
+    assert np.array_equal(np.flatnonzero(got == low),
+                          np.flatnonzero(expected == low))
 
 
 class TestBatchedCycleScan:
     @settings(max_examples=150, deadline=None)
     @given(scan_inputs())
     def test_matches_scalar_oracle(self, inputs):
-        state, points, parents = inputs
-        for cutoff in range(13):
-            expected = [_cycle_through_edge(state.table, int(x), int(p),
-                                            cutoff)
-                        for x, p in zip(points, parents)]
-            got = _batched_cycle_scan(state, points, parents, cutoff)
-            assert got.tolist() == expected, cutoff
+        assert_scan_matches_oracle(*inputs)
 
     @settings(max_examples=40, deadline=None)
     @given(block_scan_inputs())
@@ -357,15 +361,10 @@ class TestBatchedCycleScan:
         points = np.array(points, dtype=np.int64)
         parents = np.array(parents, dtype=np.int64)
         assert_scan_matches_oracle(state, points, parents)
-        # a triangle's cycles all have length 3, so cutoff 2 hides them
-        for cutoff in range(3):
-            assert (_batched_cycle_scan(state, points, parents, cutoff)
-                    == _BIG).all()
 
     def test_peak_memory_of_the_largest_grid_scan(self):
         # the first scan of pair_trees(4, 6, seed=0): 5120 points on 8532
-        # vertices, cutoff girth_target - 1 = 9; a scan over all points at
-        # once peaked at 27 MiB
+        # vertices; a scan over all points at once peaked at 27 MiB
         levels, parent = tree_layout(4, 6)
         points = levels[-1]
         t1 = np.column_stack([np.arange(1, len(parent) + 1), parent])
@@ -374,7 +373,7 @@ class TestBatchedCycleScan:
         state = _SwapState(total, np.concatenate([t1, t2]))
         tracemalloc.start()
         try:
-            _batched_cycle_scan(state, points, t2p[slots], 9)
+            _batched_cycle_scan(state, points, t2p[slots])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -504,40 +503,34 @@ class TestPartnerSearch:
                 assert np.array_equal(mask, dist[points] >= 0)
 
 
-def assert_shrinking_scan_matches_exact(state, points, parents):
-    # the minimum and the indices at it agree with the exact scan at every
-    # cutoff, including an uncapped one; other lengths may differ
-    for cutoff in [*range(13), state.n]:
-        exact = _batched_cycle_scan(state, points, parents, cutoff)
-        got = _batched_cycle_scan(state, points, parents, cutoff, shrink=True)
-        low = int(exact.min(initial=_BIG))
-        assert int(got.min(initial=_BIG)) == low, cutoff
-        if low < _BIG:
-            assert np.array_equal(np.flatnonzero(got == low),
-                                  np.flatnonzero(exact == low)), cutoff
-        else:
-            assert (got == _BIG).all(), cutoff
+def reference_oracle(state):
+    """Cycle length through one movable edge, by the one-sided BFS of
+    conftest on the state's adjacency lists, which shares no code with
+    the table's searches."""
+    lists = adjacency_lists(state.to_graph())
+    return lambda x, p: cycle_through_edge_reference(lists, x, p, state.n)
 
 
 class TestShrinkingScan:
     """The swap engine's scan, whose cutoff falls to the shortest cycle
-    found so far, against the exact per-edge scan."""
+    found so far, against the one-sided reference BFS."""
 
     @settings(max_examples=150, deadline=None)
     @given(scan_inputs())
     def test_small_graphs(self, inputs):
-        assert_shrinking_scan_matches_exact(*inputs)
+        assert_scan_matches_oracle(*inputs, oracle=reference_oracle)
 
     @settings(max_examples=40, deadline=None)
     @given(block_scan_inputs())
     def test_several_blocks(self, inputs):
         # 255 to 513 points, so later blocks run under a fallen cutoff
-        assert_shrinking_scan_matches_exact(*inputs)
+        assert_scan_matches_oracle(*inputs, oracle=reference_oracle)
 
 
 def exact_minimum(state, points, slots, slot_parent):
-    parents = slot_parent[slots]
-    return int(_batched_cycle_scan(state, points, parents, state.n).min())
+    oracle = scalar_oracle(state)
+    return min((oracle(int(x), int(p))
+                for x, p in zip(points, slot_parent[slots])), default=_BIG)
 
 
 class TestEngineShortest:

@@ -26,7 +26,7 @@ class TestCarveSite:
         site = carve_site(mcgee, 0, 1)
         assert len(site.leaves) == 3 and len(site.partners) == 3
         assert len(np.unique(site.partners)) == 3
-        dist = bfs_distances(mcgee, 0).dist
+        dist = bfs_distances(mcgee, 0)
         assert all(dist[v] == 2 for v in site.partners)
         for u, v in site.removed_matching:
             assert v in mcgee.neighbors(int(u))
@@ -206,7 +206,7 @@ class TestGreedyPacking:
     def test_pairwise_distance_on_cycle(self):
         g = cycle_graph(12)
         picks = greedy_packing(g, 3)
-        dist_maps = {int(v): bfs_distances(g, int(v)).dist for v in picks}
+        dist_maps = {int(v): bfs_distances(g, int(v)) for v in picks}
         for a, b in itertools.combinations(picks.tolist(), 2):
             assert dist_maps[a][b] >= 3
 
@@ -216,7 +216,7 @@ class TestGreedyPacking:
         chosen = np.zeros(lps_h.n, dtype=bool)
         chosen[picks] = True
         for v in picks.tolist():
-            near = bfs_distances(lps_h, v, cap=min_dist - 1).dist >= 0
+            near = bfs_distances(lps_h, v, cap=min_dist - 1) >= 0
             assert np.nonzero(near & chosen)[0].tolist() == [v]
 
     def test_lemma_bound_on_regular_graphs(self, mcgee, petersen, cubic6):

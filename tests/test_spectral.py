@@ -22,21 +22,18 @@ from scargraph.spectral import (DENSE_CUTOFF, EigensolverError,
                                 spectral_threshold, tree_quadratic_bound_check)
 from scargraph.trees import build_dary_tree
 
+from conftest import timeless
+
 
 class TestExtremeEigenvalues:
     def test_cycle_spectrum(self):
         s = extreme_eigenvalues(cycle_graph(6))
         assert s.lambda_top == pytest.approx(2.0, abs=1e-9)
         assert s.lambda2_abs == pytest.approx(2.0, abs=1e-9)  # bipartite
-        assert sorted(np.round(s.eigenvalues, 9)) == pytest.approx(
-            [-2, -1, -1, 1, 1, 2])
 
     def test_petersen(self):
         s = extreme_eigenvalues(petersen_graph())
-        w = np.sort(s.eigenvalues)
-        assert w[-1] == pytest.approx(3.0)
-        assert np.sum(np.abs(w - 1.0) < 1e-9) == 5
-        assert np.sum(np.abs(w + 2.0) < 1e-9) == 4
+        assert s.lambda_top == pytest.approx(3.0)
         assert s.lambda2_abs == pytest.approx(2.0)
 
     def test_complete_graph(self):
@@ -47,7 +44,7 @@ class TestExtremeEigenvalues:
     def test_dense_and_iterative_agree(self):
         g = random_regular_graph(1200, 4, seed=21)
         dense = _extreme_dense(g, 2)
-        it = _extreme_iterative(g, 2, 1e-12, seed=0)
+        it = _extreme_iterative(g, 2)
         assert abs(dense.lambda2_abs - it.lambda2_abs) <= 1e-8
         assert abs(dense.lambda_top - it.lambda_top) <= 1e-8
         assert it.residual_bound <= 1e-8
@@ -56,7 +53,7 @@ class TestExtremeEigenvalues:
     def test_deflation_never_reports_trivial(self):
         for seed in (0, 1, 2):
             g = random_regular_graph(600, 3, seed=seed)
-            it = _extreme_iterative(g, 1, 1e-12, seed=0)
+            it = _extreme_iterative(g, 1)
             assert it.lambda2_abs < 3.0 - 0.05
 
     def test_disconnected_rejected(self):
@@ -197,16 +194,15 @@ class TestSingleDeflatedSolve:
         monkeypatch.setattr(spla, "eigsh", stalled)
         g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
         with pytest.raises(EigensolverError,
-                           match=f"Lanczos \\({which}\\)") as info:
+                           match=f"Lanczos \\({which}\\)"):
             extreme_eigenvalues(g, how_many=how_many)
-        assert info.value.partial.tolist() == [1.5]
 
     def test_certificate_digest_unchanged(self, lps13_sg):
         # recorded before the two end solves were dropped from the
         # pipeline's spectral check (numpy 2.4, scipy 1.17); re-recorded
         # when the checks map became the verifier's items, the only bytes
         # that moved (test_certificate_digest_without_checks)
-        cert = build_certificate(lps13_sg, timestamp=False)
+        cert = timeless(build_certificate(lps13_sg))
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
         assert digest == ("1ede9d1499a103cc7ad0fe45793e5e38"
                           "11889a1407e39eef07bc5ea6a66f0c4d")
@@ -222,8 +218,7 @@ class TestSingleDeflatedSolve:
         # every byte but the checks map, recorded while the builder still
         # judged its own checks: taking them from the verifier's judge
         # must not move a measured or derived field
-        cert = build_certificate(request.getfixturevalue(fixture),
-                                 timestamp=False)
+        cert = timeless(build_certificate(request.getfixturevalue(fixture)))
         data = cert.to_dict()
         del data["checks"]
         text = json.dumps(data, sort_keys=True, indent=1, allow_nan=False)
@@ -235,7 +230,7 @@ class TestSingleDeflatedSolve:
         # (numpy 2.4, scipy 1.17), so the scipy.linalg.blas path must not
         # move a bit of it; re-recorded with the verifier's items as checks
         assert lps_sg_r2.graph.n == 12194
-        cert = build_certificate(lps_sg_r2, timestamp=False)
+        cert = timeless(build_certificate(lps_sg_r2))
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
         assert digest == ("36b0b227c2e666bdd0a1290786a7b322"
                           "c9b30fe4b0622e2de9b5510ec0115b63")
@@ -285,7 +280,7 @@ class TestScipyBlasNorm:
         monkeypatch.setattr(np.linalg, "norm", banned)
         g = lps_sg_r2.graph
         assert extreme_eigenvalues(g, 0).lambda2_vector is not None
-        cert = build_certificate(lps_sg_r2, timestamp=False)
+        cert = build_certificate(lps_sg_r2)
         assert verify_certificate(g, cert).passed
 
 

@@ -1,4 +1,3 @@
-import csv
 import math
 
 import numpy as np
@@ -176,17 +175,3 @@ class TestLevelMass:
                     ratios = adjacent_level_mass_ratios(lift_radial(t, prof), t)
                     assert np.all(ratios >= s2 / 16 - 1e-15)
                     assert np.all(ratios <= 16 / s2 + 1e-15)
-
-
-class TestSerialization:
-    def test_csv_rows(self, tmp_path):
-        rs = radial_spectrum(3, 4)
-        path = tmp_path / "spectrum.csv"
-        rs.to_csv(path)
-        with open(path) as fh:
-            rows = list(csv.reader(fh))
-        assert len(rows) == 5
-        for row, lam, prof in zip(rows, rs.eigenvalues, rs.profiles):
-            assert int(row[0]) == 4
-            assert float(row[1]) == lam
-            assert [float(x) for x in row[2:]] == prof.tolist()
