@@ -201,7 +201,7 @@ def build_certificate(sg: ScarredGraph) -> Certificate:
             localized.append(LocalizedRecord(
                 sid, lam, ids, nu[support].tolist(), rinf, rtwo, wit,
                 *_record_flags(sid, ids, lam, sites, d)))
-            measured.append((norm2(nu), rinf, wit))
+            measured.append((norm2(nu), rinf, rtwo, wit))
 
     cert = Certificate(
         d=d, r=r, k=k, m=m, M=M, seed=sg.seed, seeds_used=list(sg.seeds_used),
@@ -256,11 +256,13 @@ def _judge(cert: Certificate, n: int, deg, gv, lam2, records) -> list:
     """The verdicts on a certificate from what was measured on its graph:
     n vertices of common degree deg and, when n is cert.M, the girth gv
     (-1 for a forest), the nontrivial spectral radius lam2 and per record
-    its vector's (norm, max-norm residual, witness), or None when it reads
-    as none.  Tolerances are fixed, never the certificate's; counts, girth
-    bounds, m, effective_alpha and every verdict are re-derived, and each
-    vector must be of unit norm, in its site and with |lambda| < 2 sqrt d,
-    and its record must say so and record a residual <= RESIDUAL_TOL."""
+    its vector's (norm, max-norm residual, 2-norm residual, witness), or
+    None when it reads as none.  Tolerances are fixed, never the
+    certificate's; counts, girth bounds, m, effective_alpha and every
+    verdict are re-derived, and each vector must be of unit norm, in its
+    site and with |lambda| < 2 sqrt d, and its record must say so and
+    record a max-norm residual <= RESIDUAL_TOL and two nonnegative
+    residuals, each within RESIDUAL_TOL of the measured one."""
     items = []
 
     def check(name, ok, detail=""):
@@ -304,12 +306,15 @@ def _judge(cert: Certificate, n: int, deg, gv, lam2, records) -> list:
         if meas is None:
             check(f"localized_{i}", False, record_shape_error(rec, n))
             continue
-        norm, rinf, wit = meas
+        norm, rinf, rtwo, wit = meas
         ok = abs(norm - 1.0) <= 1e-9 and rinf <= RESIDUAL_TOL \
             and abs(wit - rec.witness_value) <= 1e-12
         in_site, interior = _record_flags(rec.site_id, rec.support,
                                           rec.eigenvalue, cert.sites, cert.d)
-        recorded = rec.residual_inf <= RESIDUAL_TOL and (
+        measured = all(0 <= got and abs(got - want) <= RESIDUAL_TOL
+                       for got, want in ((rec.residual_inf, rinf),
+                                         (rec.residual_two, rtwo)))
+        recorded = rec.residual_inf <= RESIDUAL_TOL and measured and (
             rec.support_in_site, rec.interior_eigenvalue) == (in_site, interior)
         check(f"localized_{i}", ok and in_site and interior and recorded,
               f"lambda={rec.eigenvalue!r} residual={rinf:.2e} "
@@ -337,9 +342,10 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
             nu[ids] = rec.values
             norm = norm2(nu)
             # a zero vector fails on its norm; residual() would raise
-            rinf = residual(g, nu, rec.eigenvalue)[0] if norm else math.inf
-            records.append(
-                (norm, rinf, float(np.sum(nu[ids] ** 2) - len(ids) / g.n)))
+            rinf, rtwo = residual(g, nu, rec.eigenvalue) if norm \
+                else (math.inf, math.inf)
+            records.append((norm, rinf, rtwo,
+                            float(np.sum(nu[ids] ** 2) - len(ids) / g.n)))
     items = _judge(cert, g.n, is_regular(g), gv, lam2, records)
     failed = sorted(name for name, ok in cert.checks.items() if ok is not True)
     items.append(VerificationItem(

@@ -1,7 +1,11 @@
 """Eigenvalue machinery: extreme eigenvalues with certified residuals, the
 tree quadratic-form bound, the Kahale-style layered growth checker and the
-interface test functions.  Long-vector norms and dots use scipy.linalg.blas,
-the OpenBLAS pool ARPACK runs on, not numpy's separately bundled pool.
+interface test functions.  lambda2 of a regular graph above DENSE_CUTOFF
+comes from the plain three-term Lanczos recurrence, which keeps no basis;
+the spectrum's ends stay on ARPACK.  Long-vector norms and dots use
+scipy.linalg.blas, the OpenBLAS pool ARPACK runs on, not numpy's separately
+bundled pool; the recurrence's dots run over fixed blocks, so lambda2 does
+not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -11,15 +15,16 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse.linalg as spla
-from scipy.linalg import blas, eigh
+from scipy.linalg import blas, eigh, eigh_tridiagonal
 
 from .graphs import (MAX_VERTICES, Graph, _hop_distances, _neighbours,
                      is_connected, is_regular)
 from .trees import DaryTree
 
 DENSE_CUTOFF = 320      # dense eigh up to here; Lanczos is faster beyond
-LANCZOS_TOL = 1e-10     # relative accuracy ARPACK asks of each Ritz value
+LANCZOS_TOL = 1e-10     # relative accuracy asked of each Ritz value
 LANCZOS_SEED = 0        # seeds the Lanczos start vector, so runs repeat
+DOT_BLOCK = 8192        # _blocked_dot's block, a single-threaded ddot
 KAHALE_TOL = 1e-9       # slack on kahale_check's inequalities
 
 
@@ -52,18 +57,32 @@ def norm2(x) -> float:
     return math.sqrt(blas.ddot(x, x)) if len(x) else 0.0
 
 
+def _blocked_dot(x, y) -> float:
+    """x . y as a sum of ddots over fixed blocks of DOT_BLOCK entries,
+    each below OpenBLAS's 10000-entry threading cutoff, so it does not
+    depend on the thread count, as a threaded ddot's rounding does."""
+    return sum(blas.ddot(x[i:i + DOT_BLOCK], y[i:i + DOT_BLOCK])
+               for i in range(0, len(x), DOT_BLOCK))
+
+
 def extreme_eigenvalues(g: Graph, how_many: int = 2) -> SpectralSummary:
     """Extreme adjacency eigenvalues with certified residuals.
 
     Dense symmetric solve up to DENSE_CUTOFF (320) vertices; beyond that
-    implicitly restarted Lanczos to relative accuracy LANCZOS_TOL from a
-    start vector seeded with LANCZOS_SEED.  On a connected regular graph
-    lambda2_abs is the Ritz value of one Lanczos solve deflated of the
-    all-ones eigenvector, so it never reports the trivial eigenvalue.  The
-    two paths break even near 320 vertices (between 320 and 384 on random
-    3-regular graphs, between 256 and 320 on 14-regular ones), and at 2448
-    vertices Lanczos is about 100x faster.  Callers that need every
-    eigenvector (CLI qe, test oracles) call scipy's eigh themselves.
+    Lanczos to relative accuracy LANCZOS_TOL from a start vector seeded
+    with LANCZOS_SEED.  On a connected regular graph lambda2_abs is the
+    larger-magnitude end of the three-term recurrence (_three_term) on A
+    deflated of the all-ones eigenvector, so it never reports the trivial
+    eigenvalue; a second run of the recurrence gives its Ritz vector.  The
+    spectrum's ends (how_many > 0, and every non-regular graph) are
+    ARPACK's implicitly restarted Lanczos (eigsh), which keeps the k
+    orthogonal pairs per end that the recurrence cannot.  ``iterations``
+    counts the matvecs of the end solves and of both runs.  The two paths
+    broke even near 320 vertices with ARPACK for lambda2 (between 320 and
+    384 on random 3-regular graphs, between 256 and 320 on 14-regular
+    ones), and at 2448 vertices Lanczos was about 100x faster.  Callers
+    that need every eigenvector (CLI qe, test oracles) call scipy's eigh
+    themselves.
 
     ``pairs`` lists how_many eigenpairs per spectrum end, each with its
     residual, largest first; above the cutoff a regular graph's deflated
@@ -101,6 +120,7 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     a = g.csr()
     n = g.n
     v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    maxiter = int(50 * math.sqrt(n)) + 100
     count = [0]
 
     def mv(x):
@@ -110,7 +130,8 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     def deflated(x):
         # A on the complement of all-ones, a regular graph's top eigenvector
         y = mv(x - x.mean())
-        return y - y.mean()
+        y -= y.mean()
+        return y
 
     deg = is_regular(g)
     # lambda2 of a non-regular graph is read off the ends: two pairs each
@@ -118,7 +139,7 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     if k:
         pairs = []
         for which in ("LA", "SA"):
-            w, vv = _lanczos(mv, n, k, which, v0)
+            w, vv = _lanczos(mv, k, which, v0, maxiter)
             pairs += [(float(lam), residual(g, vec, lam)[1])
                       for lam, vec in zip(w, vv.T)]
         pairs.sort(key=lambda p: -p[0])
@@ -128,10 +149,16 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     if deg is None:
         lam2, v2 = max(abs(pairs[1][0]), abs(pairs[-1][0])), None
     else:
-        w, vv = _lanczos(deflated, n, 1, "LM", v0)
-        v2 = vv[:, 0] - vv[:, 0].mean()
+        start = v0 - v0.mean()
+        start /= math.sqrt(_blocked_dot(start, start))
+        theta, s = _deflated_end(deflated, start, maxiter)
+        # the same recurrence again, summing the Ritz vector sum_j s_j q_j
+        v2 = np.zeros(n)
+        for sj, (_, _, q) in zip(s, _three_term(deflated, start)):
+            blas.daxpy(q, v2, a=sj)
+        v2 -= v2.mean()
         v2 /= norm2(v2)
-        lam2 = abs(float(w[0]))
+        lam2 = abs(theta)
         lam = blas.ddot(v2, a @ v2)
         pairs.append((lam, residual(g, v2, lam)[1]))
     res = max(r for _, r in pairs)
@@ -139,9 +166,59 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
                            pairs, lambda2_vector=v2)
 
 
-def _lanczos(matvec, n, k, which, v0):
-    """eigsh on the n x n operator ``matvec``: k Ritz pairs at ``which``."""
-    maxiter = int(50 * math.sqrt(n)) + 100
+def _three_term(matvec, q):
+    """Plain Lanczos on the symmetric operator ``matvec`` from the unit
+    vector q: yields (alpha_j, beta_j, q_j) for j = 1, 2, ... with
+    A q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}.  It keeps
+    q_{j-1}, q_j and A q_j only: no basis, no reorthogonalization.  The
+    caller stops at a breakdown (beta_j = 0)."""
+    prev, beta = np.zeros_like(q), 0.0
+    while True:
+        w = matvec(q)
+        blas.daxpy(prev, w, a=-beta)
+        alpha = _blocked_dot(q, w)
+        blas.daxpy(q, w, a=-alpha)
+        beta = math.sqrt(_blocked_dot(w, w))
+        yield alpha, beta, q
+        w /= beta
+        prev, q = q, w
+
+
+def _deflated_end(matvec, start, maxiter):
+    """(theta, s): the larger-magnitude end of the tridiagonal T_k that k
+    steps of _three_term give, and its unit eigenvector (length k).
+
+    Every 10 steps, and at a breakdown, both ends of T_k are solved; the
+    run stops once each end's error estimate beta_k |s_k| is at most
+    LANCZOS_TOL times the larger end's magnitude.  Without reorthogonal-
+    ization converged values get ghost copies, but an extreme one stays
+    accurate (Paige 1976), so the ends need no basis.  Raises
+    EigensolverError after maxiter steps."""
+    alpha, beta, big = [], [], 0.0
+    for a_j, b_j, _ in _three_term(matvec, start):
+        # big: T_j's largest entry, at most the larger end's magnitude, so
+        # a beta_j at most LANCZOS_TOL times it meets every estimate
+        big = max(big, abs(a_j), beta[-1] if beta else 0.0)
+        alpha.append(a_j)
+        beta.append(b_j)
+        k = len(alpha)
+        if k % 10 and b_j > LANCZOS_TOL * big and k < maxiter:
+            continue
+        ends = [eigh_tridiagonal(alpha, beta[:-1], select="i",
+                                 select_range=(i, i)) for i in (0, k - 1)]
+        tol = LANCZOS_TOL * max(abs(w[0]) for w, _ in ends)
+        if all(b_j * abs(s[-1, 0]) <= tol for _, s in ends):
+            w, s = max(ends, key=lambda e: abs(e[0][0]))
+            return float(w[0]), s[:, 0]
+        if k >= maxiter:
+            raise EigensolverError("Lanczos (LM) did not converge within "
+                                   f"{maxiter} iterations")
+
+
+def _lanczos(matvec, k, which, v0, maxiter):
+    """eigsh on the operator ``matvec``: k Ritz pairs at ``which``, for the
+    spectrum's ends."""
+    n = len(v0)
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
         return spla.eigsh(op, k=k, which=which, v0=v0, tol=LANCZOS_TOL,

@@ -120,12 +120,17 @@ class TestVerifyCertificate:
         ("residual_inf", 7.0, False),
         ("residual_inf", 2 * RESIDUAL_TOL, False),
         ("residual_inf", RESIDUAL_TOL, True),
+        ("residual_two", 7.0, False),
+        ("residual_inf", -3.0, False),
+        ("residual_two", -1e-15, False),
     ], ids=["in-site", "interior", "residual", "residual-above-tol",
-            "residual-at-tol"])
+            "residual-at-tol", "residual-two", "residual-negative",
+            "residual-two-negative"])
     def test_record_flags_are_judged(self, mcgee_sg, key, value, ok):
         # the vector is the built one, so only what its record says of it
-        # can fail: flags unlike the re-derived ones, or a residual above
-        # RESIDUAL_TOL
+        # can fail: flags unlike the re-derived ones, a residual above
+        # RESIDUAL_TOL, a negative one, or one that is not the measured
+        # one within RESIDUAL_TOL
         data = build_certificate(mcgee_sg).to_dict()
         data["localized"][0][key] = value
         report = verify_certificate(mcgee_sg.graph,

@@ -1,11 +1,17 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
+from scipy.linalg import eigvalsh
 
+from scargraph import spectral
 from scargraph.base import lps_graph
 from scargraph.certificate import (Certificate, build_certificate,
                                    verify_certificate)
@@ -14,12 +20,13 @@ from scargraph.named import (complete_graph, cycle_graph, petersen_graph,
                              random_regular_graph)
 from scargraph.qe import scarring_witness
 from scargraph.scars import interface_quadratic_bound, multi_glue
-from scargraph.spectral import (DENSE_CUTOFF, EigensolverError,
-                                _extreme_dense, _extreme_iterative,
-                                extreme_eigenvalues, kahale_check,
-                                kahale_instance, kahale_sequence, norm2,
-                                residual, second_eigenvector,
-                                spectral_threshold, tree_quadratic_bound_check)
+from scargraph.spectral import (DENSE_CUTOFF, LANCZOS_SEED, LANCZOS_TOL,
+                                EigensolverError, _extreme_dense,
+                                _extreme_iterative, extreme_eigenvalues,
+                                kahale_check, kahale_instance,
+                                kahale_sequence, norm2, residual,
+                                second_eigenvector, spectral_threshold,
+                                tree_quadratic_bound_check)
 from scargraph.trees import build_dary_tree
 
 from conftest import timeless
@@ -187,11 +194,19 @@ class TestSingleDeflatedSolve:
     @pytest.mark.parametrize("how_many,which", [(0, "LM"), (2, "LA")])
     def test_no_convergence_raises_eigensolver_error(self, monkeypatch,
                                                      how_many, which):
-        def stalled(op, k, which, **kw):
+        # LM: the three-term recurrence for lambda2, whose end estimates
+        # beta_k |s_k| are made to stay beta_k; LA: ARPACK's end solve
+        def stalled_ends(d, e, select, select_range):
+            return np.array([1.5]), np.ones((len(d), 1))
+
+        def stalled_eigsh(op, k, which, **kw):
             raise spla.ArpackNoConvergence("stalled", np.array([1.5]),
                                            np.zeros((op.shape[0], 1)))
 
-        monkeypatch.setattr(spla, "eigsh", stalled)
+        if which == "LM":
+            monkeypatch.setattr(spectral, "eigh_tridiagonal", stalled_ends)
+        else:
+            monkeypatch.setattr(spla, "eigsh", stalled_eigsh)
         g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
         with pytest.raises(EigensolverError,
                            match=f"Lanczos \\({which}\\)"):
@@ -200,24 +215,26 @@ class TestSingleDeflatedSolve:
     def test_certificate_digest_unchanged(self, lps13_sg):
         # recorded before the two end solves were dropped from the
         # pipeline's spectral check (numpy 2.4, scipy 1.17); re-recorded
-        # when the checks map became the verifier's items, the only bytes
-        # that moved (test_certificate_digest_without_checks)
+        # when the checks map became the verifier's items, and when lambda2
+        # came from the three-term recurrence, which moved its last bits
+        # only (7.310324561652465 -> 7.310324561652459)
         cert = timeless(build_certificate(lps13_sg))
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
-        assert digest == ("1ede9d1499a103cc7ad0fe45793e5e38"
-                          "11889a1407e39eef07bc5ea6a66f0c4d")
+        assert digest == ("908f9cd91056e53eff500a79e910a336"
+                          "313a5abe84e15fc8b9c7b1483e8bfdd8")
 
     @pytest.mark.parametrize("fixture,digest", [
-        ("lps13_sg", "6822b2ffe3705fe4630648a90837779b"
-                     "006e4e21e52d0c77e91f7f82215f7fc1"),
-        ("lps_sg_r2", "5c49696e2f0288ae3ac9d06ec62d97d3"
-                      "94cb52003142a883a26df611df1a53c1"),
-    ])
+        ("lps13_sg", "8413731dca7c8e7bff231faddec6c7e6"
+                     "8989273d6cb7b9b08caa73d95a748916"),
+        ("lps_sg_r2", "fa3f01d335156d804ab08918d34fa298"
+                      "581c0399437f2d1e43cef88a99e0ca62"),
+    ], ids=["lps13_sg", "lps_sg_r2"])
     def test_certificate_digest_without_checks(self, request, fixture,
                                                digest):
         # every byte but the checks map, recorded while the builder still
         # judged its own checks: taking them from the verifier's judge
-        # must not move a measured or derived field
+        # must not move a measured or derived field; re-recorded when
+        # lambda2 came from the three-term recurrence
         cert = timeless(build_certificate(request.getfixturevalue(fixture)))
         data = cert.to_dict()
         del data["checks"]
@@ -228,12 +245,123 @@ class TestSingleDeflatedSolve:
         # n = 12194 is above the 10000-element length from which OpenBLAS
         # splits ddot across threads; recorded with numpy's norm and dot
         # (numpy 2.4, scipy 1.17), so the scipy.linalg.blas path must not
-        # move a bit of it; re-recorded with the verifier's items as checks
+        # move a bit of it; re-recorded with the verifier's items as checks,
+        # and when lambda2 came from the three-term recurrence, whose dots
+        # run in fixed blocks below that length, so the digest is the same
+        # at 1, 2 and 4 threads (4.567338359802398 -> 4.5673383598024015)
         assert lps_sg_r2.graph.n == 12194
         cert = timeless(build_certificate(lps_sg_r2))
         digest = hashlib.sha256(cert.to_json().encode()).hexdigest()
-        assert digest == ("36b0b227c2e666bdd0a1290786a7b322"
-                          "c9b30fe4b0622e2de9b5510ec0115b63")
+        assert digest == ("edb0087ba7462d71f2f5874b4609bc5f"
+                          "568cd7bb050bdd33939d4d40f3ac5ded")
+
+
+def deflated_eigsh_lambda2(g):
+    """|Ritz value| of the deflated LM eigsh solve that gave lambda2 before
+    the three-term recurrence: same operator, start vector and tolerance."""
+    a = g.csr()
+
+    def deflated(x):
+        y = a @ (x - x.mean())
+        return y - y.mean()
+
+    op = spla.LinearOperator((g.n, g.n), matvec=deflated, dtype=float)
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(g.n)
+    w = spla.eigsh(op, k=1, which="LM", v0=v0, tol=LANCZOS_TOL,
+                   maxiter=int(50 * math.sqrt(g.n)) + 100,
+                   return_eigenvectors=False)
+    return abs(float(w[0]))
+
+
+def complete_bipartite(half):
+    return build_graph(2 * half, [(i, half + j) for i in range(half)
+                                  for j in range(half)])
+
+
+@pytest.fixture(scope="module", params=["lps13-glued", "cubic4096",
+                                        "cycle400", "k170"])
+def recurrence_graph(request):
+    """A regular graph above DENSE_CUTOFF and at most 4096 vertices."""
+    return {"lps13-glued": lambda: request.getfixturevalue("lps13_sg").graph,
+            "cubic4096": lambda: random_regular_graph(4096, 3),
+            "cycle400": lambda: cycle_graph(400),
+            "k170": lambda: complete_bipartite(170)}[request.param]()
+
+
+class TestThreeTermRecurrence:
+    """lambda2 of a regular graph above DENSE_CUTOFF comes from the plain
+    three-term Lanczos recurrence on the deflated operator."""
+
+    def test_matches_deflated_eigsh(self, recurrence_graph):
+        s = extreme_eigenvalues(recurrence_graph, 0)
+        assert s.method == "iterative"
+        assert abs(s.lambda2_abs
+                   - deflated_eigsh_lambda2(recurrence_graph)) <= 1e-12
+
+    def test_glued_lps29_matches_deflated_eigsh(self, lps_sg_r2):
+        # 12194 vertices: too many for a dense oracle here
+        g = lps_sg_r2.graph
+        s = extreme_eigenvalues(g, 0)
+        assert abs(s.lambda2_abs - deflated_eigsh_lambda2(g)) <= 1e-12
+        assert s.residual_bound <= 1e-8
+
+    def test_matches_dense_eigh(self, recurrence_graph):
+        g = recurrence_graph
+        w = eigvalsh(g.csr().toarray())
+        s = extreme_eigenvalues(g, 0)
+        assert abs(s.lambda2_abs - max(-w[0], w[-2])) <= 1e-8
+        lam, res = s.pairs[-1]
+        assert abs(abs(lam) - s.lambda2_abs) <= 1e-8 and res <= 1e-8
+
+    @pytest.mark.parametrize("g,end", [(cycle_graph(400), -2.0),
+                                       (complete_bipartite(170), -170.0)],
+                             ids=["cycle400", "k170"])
+    def test_bipartite_lambda2_is_the_bottom_end(self, g, end):
+        # the deflated top end of K_{170,170} is 0: a tolerance relative
+        # to each end alone would never be met there
+        s = extreme_eigenvalues(g, 0)
+        assert s.pairs[-1][0] == pytest.approx(end, abs=1e-8)
+        assert s.lambda2_abs == pytest.approx(-end, abs=1e-12)
+
+    def test_keeps_no_basis(self):
+        # ARPACK's deflated solve peaked at 46 vectors of n (its n x 20
+        # basis and workspace); the recurrence holds a handful
+        g = random_regular_graph(16384, 3, seed=1)
+        g.csr()
+        tracemalloc.start()
+        try:
+            s = extreme_eigenvalues(g, 0)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert s.residual_bound <= 1e-8
+        assert peak <= 12 * 8 * g.n, peak / (8 * g.n)
+
+    def test_lambda2_bits_do_not_depend_on_blas_threads(self):
+        # both graphs are above the 10000 entries from which OpenBLAS
+        # splits a ddot across threads.  Under ARPACK glued LPS(5,41) read
+        # 4.556129555411968 at 2 threads and 4.55612955541197 at 1; the
+        # recurrence with threaded ddots moved glued LPS(5,29) r=2 instead
+        code = ("from scargraph.base import lps_graph\n"
+                "from scargraph.scars import multi_glue\n"
+                "from scargraph.spectral import extreme_eigenvalues\n"
+                "for p, k, r, seed in ((41, 2, 2, 5), (29, 1, 2, 3)):\n"
+                "    g = multi_glue(lps_graph(5, p), k, r, seed=seed).graph\n"
+                "    print(repr(extreme_eigenvalues(g, 0).lambda2_abs))")
+        src = os.path.abspath(os.path.join(os.path.dirname(__file__), "..",
+                                           "src"))
+        got = [subprocess.run(
+            [sys.executable, "-c", code], capture_output=True, text=True,
+            timeout=120, check=True,
+            env=dict(os.environ, PYTHONPATH=src,
+                     OPENBLAS_NUM_THREADS=str(threads))).stdout
+            for threads in (1, 2)]
+        assert got == ["4.556129555411968\n4.5673383598024015\n"] * 2
+
+    def test_iterations_count_both_runs(self, recurrence_graph):
+        # the Ritz vector's run repeats the steps of the first
+        s = extreme_eigenvalues(recurrence_graph, 0)
+        assert s.iterations > 0 and s.iterations % 2 == 0
 
 
 class TestResidual:
