@@ -11,8 +11,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .graphs import MAX_VERTICES, Graph, build_graph, girth, is_bipartite, \
-    is_connected, is_regular, load_edge_list
-from .spectral import extreme_eigenvalues
+    is_regular, load_edge_list
+from .spectral import DisconnectedGraphError, extreme_eigenvalues
 
 load_graph = load_edge_list
 RAMANUJAN_TOL = 1e-8     # slack on the measured lambda2 <= 2 sqrt(d)
@@ -206,16 +206,20 @@ def validate_base(g: Graph, d: int, r: int) -> BaseReport:
         raise ValueError(f"d must lie in [0, {MAX_VERTICES})")
     deg = is_regular(g)
     gv = girth(g)
-    summary = extreme_eigenvalues(g, how_many=0) \
-        if is_connected(g) and g.n else None
-    lam2 = summary.lambda2_abs if summary else math.inf
+    lam2, connected = math.inf, g.n > 0
+    if connected:
+        # the solve tests connectivity, so it is tested once
+        try:
+            lam2 = extreme_eigenvalues(g, how_many=0).lambda2_abs
+        except DisconnectedGraphError:
+            connected = False
     bip = is_bipartite(g)
     ram_ok = lam2 <= 2.0 * math.sqrt(d) + RAMANUJAN_TOL
     # the largest r with girth > max(4r, 2(r+1)+1); a forest admits any r
     rmax = None if gv == math.inf else (gv - 1) // 4 if gv > 5 else 0
     checks = {
         "regular_d_plus_1": deg == d + 1,
-        "connected": summary is not None,
+        "connected": connected,
         "non_bipartite": not bip,
         "girth_exceeds_4r": gv > 4 * r,
         "tree_balls_radius_r_plus_1": gv > 2 * (r + 1) + 1,

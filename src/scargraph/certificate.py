@@ -14,11 +14,12 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .graphs import MAX_VERTICES, Graph, girth, is_connected, is_regular
+from .graphs import MAX_VERTICES, Graph, girth, is_regular
 from .pairing import girth_bound, girth_required
 from .qe import scarring_witness
 from .scars import ScarredGraph, _check_depth, localized_eigenvector
-from .spectral import extreme_eigenvalues, norm2, residual, spectral_threshold
+from .spectral import (DisconnectedGraphError, extreme_eigenvalues, norm2,
+                       residual, spectral_threshold)
 from .trees import interior_size, radial_spectrum
 
 SCHEMA_VERSION = 1
@@ -330,9 +331,11 @@ def verify_certificate(g: Graph, cert: Certificate) -> VerificationReport:
     if g.n == cert.M:
         gv = girth(g)
         gv = int(gv) if gv != math.inf else -1
-        # a disconnected graph has no spectral gap: both spectral checks fail
-        lam2 = extreme_eigenvalues(g, how_many=0).lambda2_abs \
-            if is_connected(g) else math.inf
+        try:
+            lam2 = extreme_eigenvalues(g, how_many=0).lambda2_abs
+        except DisconnectedGraphError:
+            # no spectral gap: both spectral checks fail
+            lam2 = math.inf
         for rec in cert.localized:
             ids = rec.support
             if record_shape_error(rec, g.n):

@@ -32,6 +32,11 @@ class EigensolverError(RuntimeError):
     """Iterative eigensolver failed to converge."""
 
 
+class DisconnectedGraphError(ValueError):
+    """A spectral solve was asked of a disconnected graph, which has no
+    spectral gap; callers that test connectivity catch it."""
+
+
 @dataclass
 class SpectralSummary:
     lambda_top: float
@@ -40,7 +45,6 @@ class SpectralSummary:
     iterations: int
     residual_bound: float
     pairs: list                      # (eigenvalue, residual 2-norm) extremes
-    lambda2_vector: np.ndarray | None = None  # None: Lanczos, not regular
 
 
 def residual(g: Graph, v, lam: float):
@@ -71,41 +75,54 @@ def extreme_eigenvalues(g: Graph, how_many: int = 2) -> SpectralSummary:
     Dense symmetric solve up to DENSE_CUTOFF (320) vertices; beyond that
     Lanczos to relative accuracy LANCZOS_TOL from a start vector seeded
     with LANCZOS_SEED.  On a connected regular graph lambda2_abs is the
-    larger-magnitude end of the three-term recurrence (_three_term) on A
-    deflated of the all-ones eigenvector, so it never reports the trivial
-    eigenvalue; a second run of the recurrence gives its Ritz vector.  The
-    spectrum's ends (how_many > 0, and every non-regular graph) are
-    ARPACK's implicitly restarted Lanczos (eigsh), which keeps the k
-    orthogonal pairs per end that the recurrence cannot.  ``iterations``
-    counts the matvecs of the end solves and of both runs.  The two paths
-    broke even near 320 vertices with ARPACK for lambda2 (between 320 and
-    384 on random 3-regular graphs, between 256 and 320 on 14-regular
-    ones), and at 2448 vertices Lanczos was about 100x faster.  Callers
-    that need every eigenvector (CLI qe, test oracles) call scipy's eigh
-    themselves.
+    larger-magnitude end of one run of the three-term recurrence
+    (_three_term) on A deflated of the all-ones eigenvector, so it never
+    reports the trivial eigenvalue; the run sums no Ritz vector, which
+    second_eigenvector does in a second run.  The spectrum's ends
+    (how_many > 0, and every non-regular graph) are ARPACK's implicitly
+    restarted Lanczos (eigsh), which keeps the k orthogonal pairs per end
+    that the recurrence cannot.  ``iterations`` counts the matvecs of the
+    end solves and of the one run.  The two paths broke even near 320
+    vertices with ARPACK for lambda2 (between 320 and 384 on random
+    3-regular graphs, between 256 and 320 on 14-regular ones), and at 2448
+    vertices Lanczos was about 100x faster.  Callers that need every
+    eigenvector (CLI qe, test oracles) call scipy's eigh themselves.
 
-    ``pairs`` lists how_many eigenpairs per spectrum end, each with its
-    residual, largest first; above the cutoff a regular graph's deflated
-    Ritz pair follows them.  how_many=0 lists no ends: ``pairs`` then holds
-    only the top pair and the lambda2_abs pair.  Above the cutoff a regular
-    graph then runs no end solve, and its top pair is (degree, residual of
-    the all-ones vector), exact.  ``lambda2_vector`` is the unit eigenvector
-    of the lambda2_abs pair.  A non-regular graph above the cutoff has none,
-    and lists at least two pairs per end, as its lambda2_abs is read off
-    the ends.
+    ``pairs`` lists only pairs with a measured residual: how_many
+    eigenpairs per spectrum end, largest first.  how_many=0 lists no ends:
+    ``pairs`` then holds the top pair, followed on the dense path by the
+    lambda2_abs pair.  Above the cutoff a regular graph then runs no end
+    solve, and its top pair is (degree, residual of the all-ones vector),
+    exact.  Above the cutoff a regular graph's lambda2_abs is a Ritz value
+    without a pair; ``residual_bound``, the largest listed residual, then
+    also covers its Lanczos error estimate beta_k |s_k|.  A non-regular
+    graph above the cutoff lists at least two pairs per end, as its
+    lambda2_abs is read off the ends.  A disconnected graph raises
+    DisconnectedGraphError.
     """
-    if g.n == 0:
-        raise ValueError("empty graph")
-    if not is_connected(g):
-        raise ValueError("graph must be connected")
+    _check_connected(g)
     if g.n <= DENSE_CUTOFF:
         return _extreme_dense(g, how_many)
     return _extreme_iterative(g, how_many)
 
 
-def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
+def _check_connected(g: Graph) -> None:
+    if g.n == 0:
+        raise ValueError("empty graph")
+    if not is_connected(g):
+        raise DisconnectedGraphError("graph must be connected")
+
+
+def _dense(g: Graph):
+    """(ascending eigenvalues, eigenvector columns, index of lambda2_abs's
+    eigenvalue) from one dense eigh."""
     w, vecs = eigh(g.csr().toarray())
     i2 = 0 if g.n == 1 or abs(w[0]) >= abs(w[-2]) else g.n - 2
+    return w, vecs, i2
+
+
+def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
+    w, vecs, i2 = _dense(g)
     lam2 = abs(float(w[i2])) if g.n > 1 else 0.0
     k = min(how_many, g.n)
     # k pairs per end; with none asked, the top pair and the lambda2 pair
@@ -113,25 +130,24 @@ def _extreme_dense(g: Graph, how_many: int) -> SpectralSummary:
     pairs = [(float(w[i]), residual(g, vecs[:, i], w[i])[1])
              for i in sorted(picks, reverse=True)]
     return SpectralSummary(float(w[-1]), lam2, "dense", 0,
-                           max(r for _, r in pairs), pairs, vecs[:, i2])
+                           max(r for _, r in pairs), pairs)
+
+
+def _lanczos_start(n: int):
+    """(seeded start vector, step limit) of a Lanczos solve on n vertices."""
+    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
+    return v0, int(50 * math.sqrt(n)) + 100
 
 
 def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     a = g.csr()
     n = g.n
-    v0 = np.random.default_rng(LANCZOS_SEED).standard_normal(n)
-    maxiter = int(50 * math.sqrt(n)) + 100
+    v0, maxiter = _lanczos_start(n)
     count = [0]
 
     def mv(x):
         count[0] += 1
         return a @ x
-
-    def deflated(x):
-        # A on the complement of all-ones, a regular graph's top eigenvector
-        y = mv(x - x.mean())
-        y -= y.mean()
-        return y
 
     deg = is_regular(g)
     # lambda2 of a non-regular graph is read off the ends: two pairs each
@@ -146,24 +162,28 @@ def _extreme_iterative(g: Graph, how_many) -> SpectralSummary:
     else:
         # no end solve: (deg, all-ones) is an exact eigenpair, residual 0
         pairs = [(float(deg), residual(g, np.ones(n), deg)[1] / math.sqrt(n))]
-    if deg is None:
-        lam2, v2 = max(abs(pairs[1][0]), abs(pairs[-1][0])), None
-    else:
-        start = v0 - v0.mean()
-        start /= math.sqrt(_blocked_dot(start, start))
-        theta, s = _deflated_end(deflated, start, maxiter)
-        # the same recurrence again, summing the Ritz vector sum_j s_j q_j
-        v2 = np.zeros(n)
-        for sj, (_, _, q) in zip(s, _three_term(deflated, start)):
-            blas.daxpy(q, v2, a=sj)
-        v2 -= v2.mean()
-        v2 /= norm2(v2)
-        lam2 = abs(theta)
-        lam = blas.ddot(v2, a @ v2)
-        pairs.append((lam, residual(g, v2, lam)[1]))
     res = max(r for _, r in pairs)
+    if deg is None:
+        lam2 = max(abs(pairs[1][0]), abs(pairs[-1][0]))
+    else:
+        theta, _, estimate = _deflated_end(_deflated_run(mv, v0), maxiter)
+        lam2, res = abs(theta), max(res, estimate)
     return SpectralSummary(pairs[0][0], lam2, "iterative", count[0], res,
-                           pairs, lambda2_vector=v2)
+                           pairs)
+
+
+def _deflated_run(matvec, v0):
+    """A fresh _three_term run on A deflated of the all-ones vector, a
+    regular graph's top eigenvector, from the unit deflated part of v0;
+    ``matvec`` is x -> A x.  Equal arguments give equal runs."""
+    start = v0 - v0.mean()
+    start /= math.sqrt(_blocked_dot(start, start))
+
+    def deflated(x):
+        y = matvec(x - x.mean())
+        y -= y.mean()
+        return y
+    return _three_term(deflated, start)
 
 
 def _three_term(matvec, q):
@@ -184,18 +204,20 @@ def _three_term(matvec, q):
         prev, q = q, w
 
 
-def _deflated_end(matvec, start, maxiter):
-    """(theta, s): the larger-magnitude end of the tridiagonal T_k that k
-    steps of _three_term give, and its unit eigenvector (length k).
+def _deflated_end(run, maxiter):
+    """(theta, s, estimate): the larger-magnitude end of the tridiagonal
+    T_k that k steps of the _three_term ``run`` give, its unit eigenvector
+    (length k, so k is the step count) and its error estimate
+    beta_k |s_k|.
 
     Every 10 steps, and at a breakdown, both ends of T_k are solved; the
-    run stops once each end's error estimate beta_k |s_k| is at most
-    LANCZOS_TOL times the larger end's magnitude.  Without reorthogonal-
-    ization converged values get ghost copies, but an extreme one stays
-    accurate (Paige 1976), so the ends need no basis.  Raises
-    EigensolverError after maxiter steps."""
+    run stops once each end's error estimate is at most LANCZOS_TOL times
+    the larger end's magnitude.  Without reorthogonalization converged
+    values get ghost copies, but an extreme one stays accurate (Paige
+    1976), so the ends need no basis.  Raises EigensolverError after
+    maxiter steps."""
     alpha, beta, big = [], [], 0.0
-    for a_j, b_j, _ in _three_term(matvec, start):
+    for a_j, b_j, _ in run:
         # big: T_j's largest entry, at most the larger end's magnitude, so
         # a beta_j at most LANCZOS_TOL times it meets every estimate
         big = max(big, abs(a_j), beta[-1] if beta else 0.0)
@@ -209,7 +231,7 @@ def _deflated_end(matvec, start, maxiter):
         tol = LANCZOS_TOL * max(abs(w[0]) for w, _ in ends)
         if all(b_j * abs(s[-1, 0]) <= tol for _, s in ends):
             w, s = max(ends, key=lambda e: abs(e[0][0]))
-            return float(w[0]), s[:, 0]
+            return float(w[0]), s[:, 0], b_j * abs(s[-1, 0])
         if k >= maxiter:
             raise EigensolverError("Lanczos (LM) did not converge within "
                                    f"{maxiter} iterations")
@@ -230,12 +252,25 @@ def _lanczos(matvec, k, which, v0, maxiter):
 
 def second_eigenvector(g: Graph):
     """(lambda, unit vector) attaining the nontrivial spectral radius of a
-    connected regular graph, the lambda2 pair of extreme_eigenvalues(g, 0);
-    raises EigensolverError when Lanczos does not converge."""
-    s = extreme_eigenvalues(g, 0)
-    if s.lambda2_vector is None:
+    connected regular graph, |lambda| = extreme_eigenvalues' lambda2_abs:
+    the dense eigh's pair, or above DENSE_CUTOFF the Rayleigh quotient of
+    the Ritz vector sum_j s_j q_j, which a second run of the recurrence
+    sums; raises EigensolverError when Lanczos does not converge."""
+    _check_connected(g)
+    if g.n <= DENSE_CUTOFF:
+        w, vecs, i2 = _dense(g)
+        return float(w[i2]), vecs[:, i2]
+    if is_regular(g) is None:
         raise ValueError("graph must be regular")
-    return s.pairs[-1][0], s.lambda2_vector
+    a = g.csr()
+    v0, maxiter = _lanczos_start(g.n)
+    _, s, _ = _deflated_end(_deflated_run(a.dot, v0), maxiter)
+    v = np.zeros(g.n)
+    for sj, (_, _, q) in zip(s, _deflated_run(a.dot, v0)):
+        blas.daxpy(q, v, a=sj)
+    v -= v.mean()
+    v /= norm2(v)
+    return blas.ddot(v, a @ v), v
 
 
 def spectral_threshold(d: int):

@@ -1,9 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
-from scargraph import base
+from scargraph import base, spectral
 from scargraph.base import (LpsParams, generator_matrices, legendre_symbol,
                             load_graph, lps_graph, quaternion_generators,
                             validate_base)
@@ -151,6 +152,26 @@ class TestValidateBase:
         data = json.loads(report.to_json(), parse_constant=_reject)
         assert data["lambda2_abs"] is None
         assert not data["checks"]["connected"]
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_connectivity_tested_once(self, mcgee, monkeypatch, components):
+        # the lambda2 solve tests connectivity, and the report reads it
+        # off the solve
+        e = mcgee.edges()
+        g = build_graph(24 * components,
+                        np.vstack([e + 24 * c for c in range(components)]))
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return is_connected(h)
+
+        monkeypatch.setattr(spectral, "is_connected", counted)
+        assert not hasattr(base, "is_connected")
+        report = validate_base(g, 2, 1)
+        assert calls == [g]
+        assert report.checks["connected"] == (components == 1)
+        assert (report.lambda2_abs == math.inf) == (components == 2)
 
 
 def _reject(token):

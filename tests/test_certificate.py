@@ -6,11 +6,12 @@ import numpy as np
 import pytest
 
 import scargraph.certificate
+import scargraph.spectral
 from scargraph.base import lps_graph
 from scargraph.certificate import (RESIDUAL_TOL, SPECTRAL_TOL, Certificate,
                                    build_certificate, girth_bound,
                                    girth_required, verify_certificate)
-from scargraph.graphs import _hop_distances, build_graph, girth
+from scargraph.graphs import _hop_distances, build_graph, girth, is_connected
 from scargraph.named import petersen_graph
 from scargraph.scars import multi_glue
 
@@ -578,3 +579,28 @@ class TestOneJudge:
         assert calls == {"girth": 0 if known_girth else 1,
                          "extreme_eigenvalues": 1}
         assert cert.all_ok and cert.girth == 4
+
+    @pytest.mark.parametrize("components", [1, 2])
+    def test_verify_tests_connectivity_once(self, mcgee_sg, monkeypatch,
+                                            components):
+        # the lambda2 solve tests connectivity, and verify reads it off
+        # the solve: a disconnected graph fails both spectral checks
+        cert = build_certificate(mcgee_sg)
+        g = mcgee_sg.graph
+        if components == 2:
+            # the last vertex cut off
+            e = g.edges()
+            g = build_graph(g.n, e[e.max(axis=1) < g.n - 1])
+        calls = []
+
+        def counted(h):
+            calls.append(h)
+            return is_connected(h)
+
+        monkeypatch.setattr(scargraph.spectral, "is_connected", counted)
+        assert not hasattr(scargraph.certificate, "is_connected")
+        report = verify_certificate(g, cert)
+        assert calls == [g]
+        failed = {it.name for it in report.items if not it.ok}
+        spectral = {"lambda_max_nontrivial", "spectral_within_threshold"}
+        assert (spectral <= failed) == (components == 2)

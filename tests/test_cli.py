@@ -76,6 +76,27 @@ class TestRunPipeline:
         assert not (tmp_path / "g.edges").exists()
         assert not (tmp_path / "c.json").exists()
 
+    @pytest.mark.parametrize("base,r,bad", [
+        ("mcgee", 2, "girth_exceeds_4r, tree_balls_radius_r_plus_1"),
+        ("two-mcgee", 1, "connected"),
+        ("cycle", 1, "regular_d_plus_1, girth_exceeds_4r, "
+                     "tree_balls_radius_r_plus_1")])
+    def test_structural_refusal_message(self, tmp_path, capsys, base, r,
+                                        bad):
+        # construct refuses a base by its structural checks alone
+        e = mcgee_graph().edges()
+        g = {"mcgee": mcgee_graph,
+             "two-mcgee": lambda: build_graph(48, np.vstack([e, e + 24])),
+             "cycle": lambda: cycle_graph(4)}[base]()
+        path = str(tmp_path / "base.edges")
+        save_edge_list(g, path)
+        code = main(["construct", "--base", path, "--d", "2", "--r", str(r),
+                     "--out", str(tmp_path / "g.edges"),
+                     "--cert", str(tmp_path / "c.json")])
+        assert code == 1
+        assert capsys.readouterr().err == (
+            f"construction failed: base validation failed: {bad}\n")
+
     @pytest.mark.parametrize("cert", ["", "c.json"], ids=["both", "out"])
     def test_empty_output_path(self, mcgee_file, tmp_path, capsys, cert):
         # an empty --out is an I/O error, and the certificate is not written
@@ -202,6 +223,29 @@ class TestSubcommands:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["girth"] == 7
+
+    @pytest.mark.parametrize("graph,d,expected", [
+        ("mcgee", 2, '{"bipartite": false, "checks": {"connected": true, '
+         '"girth_exceeds_4r": true, "non_bipartite": true, '
+         '"ramanujan_margin": true, "regular_d_plus_1": true, '
+         '"tree_balls_radius_r_plus_1": true}, "degree": 3, "girth": 7, '
+         '"girth_ok_for_r": 1, "lambda2_abs": 2.561552812808827, "n": 24, '
+         '"ramanujan_ok": true}\n'),
+        ("lps_h", 5, '{"bipartite": false, "checks": {"connected": true, '
+         '"girth_exceeds_4r": true, "non_bipartite": true, '
+         '"ramanujan_margin": true, "regular_d_plus_1": true, '
+         '"tree_balls_radius_r_plus_1": true}, "degree": 6, "girth": 9, '
+         '"girth_ok_for_r": 2, "lambda2_abs": 4.442016442593805, '
+         '"n": 12180, "ramanujan_ok": true}\n')])
+    def test_base_validate_bytes(self, request, tmp_path, capsys, graph, d,
+                                 expected):
+        # pinned before lambda2 took one run of the recurrence: the report
+        # keeps every byte, lambda2 to its last bit
+        path = str(tmp_path / "base.edges")
+        save_edge_list(request.getfixturevalue(graph), path)
+        assert main(["base", "validate", "--graph", path, "--d", str(d),
+                     "--r", "1"]) == 0
+        assert capsys.readouterr().out == expected
 
     def test_base_lps_writes_graph(self, tmp_path):
         out = tmp_path / "h.edges"
@@ -502,8 +546,8 @@ class TestSubcommands:
 
 
 class TestSpectrumRows:
-    """--k lists k pairs per end; on the Lanczos path the deflated pair that
-    gives lambda2 follows them."""
+    """--k lists k pairs per end, each with its measured residual; the
+    Ritz value that gives lambda2 on the Lanczos path has no pair."""
 
     @pytest.fixture(scope="class")
     def lps13_glued_file(self, tmp_path_factory):
@@ -513,7 +557,7 @@ class TestSpectrumRows:
         return str(path)
 
     @pytest.mark.parametrize("graph,k,rows,top", [
-        ("lps13_glued_file", "1", 3, 14.0), ("lps13_glued_file", "4", 9, 14.0),
+        ("lps13_glued_file", "1", 2, 14.0), ("lps13_glued_file", "4", 8, 14.0),
         ("mcgee_file", "1", 2, 3.0)])
     def test_row_count(self, request, tmp_path, graph, k, rows, top):
         spath = tmp_path / "spec.csv"
@@ -526,9 +570,7 @@ class TestSpectrumRows:
         assert abs(float(body[0][1]) - top) <= 1e-8
         assert all(float(res) <= 1e-8 for _, _, res in body)
         lams = [float(lam) for _, lam, _ in body]
-        assert lams[:-1] == sorted(lams[:-1], reverse=True)
-        if rows % 2:   # the deflated pair: lambda2 is the smallest end
-            assert lams[-1] == pytest.approx(lams[-2], abs=1e-8)
+        assert lams == sorted(lams, reverse=True)
 
 
 def _certified_support(sg):

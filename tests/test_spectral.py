@@ -108,11 +108,14 @@ class TestAboveDenseCutoff:
         assert abs(s.lambda2_abs - dense.lambda2_abs) <= 1e-8
 
     def test_second_eigenvector(self, above_cutoff):
+        # a second run of the recurrence that gave lambda2 sums its vector
         g, dense = above_cutoff
         lam, vec = second_eigenvector(g)
         assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
         assert residual(g, vec, lam)[1] <= 1e-8
         assert abs(abs(lam) - dense.lambda2_abs) <= 1e-8
+        s = extreme_eigenvalues(g, how_many=0)
+        assert abs(abs(lam) - s.lambda2_abs) <= 1e-8
 
     def test_dense_certificate_still_verifies(self, lps13_sg, lps13_sg_dense,
                                               tmp_path):
@@ -130,7 +133,8 @@ class TestAboveDenseCutoff:
 
 class TestSingleDeflatedSolve:
     """how_many=0 on a connected regular graph runs only the deflated
-    Lanczos: same lambda2, exact trivial pair, fewer matvecs."""
+    Lanczos, once: same lambda2, exact trivial pair, fewer matvecs, and no
+    lambda2 pair, as no Ritz vector is summed."""
 
     def test_same_lambda2_and_exact_top(self, above_cutoff):
         g, _ = above_cutoff
@@ -140,10 +144,8 @@ class TestSingleDeflatedSolve:
         assert one.method == full.method == "iterative"
         assert one.lambda2_abs == full.lambda2_abs
         assert one.lambda_top == deg
-        assert one.pairs[0] == (deg, 0.0)
-        assert abs(one.pairs[1][0]) == pytest.approx(one.lambda2_abs,
-                                                     abs=1e-8)
-        assert len(one.pairs) == 2 and one.residual_bound <= 1e-8
+        assert one.pairs == [(deg, 0.0)]
+        assert 0 < one.residual_bound <= 1e-8
         assert 0 < one.iterations < full.iterations
 
     def test_non_regular_matches_dense_oracle(self):
@@ -168,27 +170,38 @@ class TestSingleDeflatedSolve:
         g, _ = above_cutoff
         one = extreme_eigenvalues(g, how_many=0)
         s = extreme_eigenvalues(g, how_many=1)
-        assert len(s.pairs) == 3 and s.pairs[-1] == one.pairs[-1]
+        assert len(s.pairs) == 2
         assert s.lambda2_abs == one.lambda2_abs
         assert s.lambda_top == pytest.approx(is_regular(g), abs=1e-8)
         assert s.residual_bound <= 1e-8
 
     def test_lambda2_vector_is_the_listed_lambda2_pair(self, above_cutoff,
                                                        petersen):
+        # the dense path lists lambda2's pair; above DENSE_CUTOFF the
+        # summary lists only the trivial pair and lambda2 is the Ritz value
         for g in (above_cutoff[0], petersen):
             s = extreme_eigenvalues(g, how_many=0)
-            lam, vec = s.pairs[-1][0], s.lambda2_vector
+            lam, vec = second_eigenvector(g)
             assert abs(lam) == pytest.approx(s.lambda2_abs, abs=1e-8)
             assert np.linalg.norm(vec) == pytest.approx(1.0, abs=1e-12)
-            assert residual(g, vec, lam)[1] == s.pairs[-1][1] <= 1e-8
+            res = residual(g, vec, lam)[1]
+            assert res <= 1e-8
+            if s.method == "dense":
+                assert s.pairs[-1] == (lam, res)
+            else:
+                assert s.pairs == [(s.lambda_top, 0.0)]
             lam2, vec2 = second_eigenvector(g)
             assert lam2 == lam and np.array_equal(vec2, vec)
 
-    def test_non_regular_has_no_lambda2_vector(self):
+    def test_non_regular_has_no_second_eigenvector(self):
         g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
         g = build_graph(g.n, g.edges().tolist()[1:])
-        assert extreme_eigenvalues(g, how_many=0).lambda2_vector is None
         with pytest.raises(ValueError, match="regular"):
+            second_eigenvector(g)
+
+    def test_disconnected_has_no_second_eigenvector(self):
+        g = build_graph(4, [(0, 1), (2, 3)])
+        with pytest.raises(ValueError, match="connected"):
             second_eigenvector(g)
 
     @pytest.mark.parametrize("how_many,which", [(0, "LM"), (2, "LA")])
@@ -211,6 +224,9 @@ class TestSingleDeflatedSolve:
         with pytest.raises(EigensolverError,
                            match=f"Lanczos \\({which}\\)"):
             extreme_eigenvalues(g, how_many=how_many)
+        if which == "LM":
+            with pytest.raises(EigensolverError, match="Lanczos \\(LM\\)"):
+                second_eigenvector(g)
 
     def test_certificate_digest_unchanged(self, lps13_sg):
         # recorded before the two end solves were dropped from the
@@ -310,8 +326,9 @@ class TestThreeTermRecurrence:
         w = eigvalsh(g.csr().toarray())
         s = extreme_eigenvalues(g, 0)
         assert abs(s.lambda2_abs - max(-w[0], w[-2])) <= 1e-8
-        lam, res = s.pairs[-1]
-        assert abs(abs(lam) - s.lambda2_abs) <= 1e-8 and res <= 1e-8
+        lam, vec = second_eigenvector(g)
+        assert abs(abs(lam) - s.lambda2_abs) <= 1e-8
+        assert residual(g, vec, lam)[1] <= 1e-8
 
     @pytest.mark.parametrize("g,end", [(cycle_graph(400), -2.0),
                                        (complete_bipartite(170), -170.0)],
@@ -320,7 +337,7 @@ class TestThreeTermRecurrence:
         # the deflated top end of K_{170,170} is 0: a tolerance relative
         # to each end alone would never be met there
         s = extreme_eigenvalues(g, 0)
-        assert s.pairs[-1][0] == pytest.approx(end, abs=1e-8)
+        assert second_eigenvector(g)[0] == pytest.approx(end, abs=1e-8)
         assert s.lambda2_abs == pytest.approx(-end, abs=1e-12)
 
     def test_keeps_no_basis(self):
@@ -358,10 +375,28 @@ class TestThreeTermRecurrence:
             for threads in (1, 2)]
         assert got == ["4.556129555411968\n4.5673383598024015\n"] * 2
 
-    def test_iterations_count_both_runs(self, recurrence_graph):
-        # the Ritz vector's run repeats the steps of the first
-        s = extreme_eigenvalues(recurrence_graph, 0)
-        assert s.iterations > 0 and s.iterations % 2 == 0
+    def test_iterations_count_one_run(self, recurrence_graph):
+        # lambda2 is the first run's Ritz value: no second run sums a
+        # vector, so the matvecs are that run's steps, one each
+        g = recurrence_graph
+        v0, maxiter = spectral._lanczos_start(g.n)
+        theta, s, estimate = spectral._deflated_end(
+            spectral._deflated_run(g.csr().dot, v0), maxiter)
+        summary = extreme_eigenvalues(g, 0)
+        assert summary.iterations == len(s) > 0
+        assert summary.lambda2_abs == abs(theta)
+        assert summary.residual_bound == estimate
+
+    def test_residual_bound_covers_the_lanczos_estimate(self, lps13_sg):
+        # the ends' listed residuals and lambda2's beta_k |s_k|: the
+        # bound is the larger
+        g = lps13_sg.graph
+        v0, maxiter = spectral._lanczos_start(g.n)
+        _, _, estimate = spectral._deflated_end(
+            spectral._deflated_run(g.csr().dot, v0), maxiter)
+        s = extreme_eigenvalues(g, 2)
+        assert s.residual_bound == max([estimate]
+                                       + [r for _, r in s.pairs])
 
 
 class TestResidual:
@@ -407,7 +442,7 @@ class TestScipyBlasNorm:
 
         monkeypatch.setattr(np.linalg, "norm", banned)
         g = lps_sg_r2.graph
-        assert extreme_eigenvalues(g, 0).lambda2_vector is not None
+        assert np.isfinite(second_eigenvector(g)[1]).all()
         cert = build_certificate(lps_sg_r2)
         assert verify_certificate(g, cert).passed
 
