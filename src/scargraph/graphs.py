@@ -5,9 +5,11 @@ builds on.
 Vertices are dense integer indices ``0..n-1``.  Adjacency is stored in CSR
 form (an offset array plus one flat, per-vertex-sorted neighbor array) so
 traversals stay cache friendly.  The CSR is the only adjacency a graph
-keeps; a scipy sparse matrix is derived from it lazily and cached.  A
-:class:`Graph` is immutable after construction, so all queries are safe to
-run concurrently.
+keeps; a scipy sparse matrix is derived from it lazily and cached.  scipy
+is imported on first use, inside :meth:`Graph.csr`, the cycle kernel and
+the connectivity and bipartiteness tests, so importing this module loads
+numpy only.  A :class:`Graph` is immutable after construction, so all
+queries are safe to run concurrently.
 
 Hop distances (:func:`bfs_distances`, :func:`ball`, :func:`is_bipartite`,
 :func:`shortest_cycle_through`, the layers around a vertex set, site
@@ -43,8 +45,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.csgraph import connected_components
 
 INFINITE_GIRTH = math.inf
 # Largest vertex count a graph may have: keeps the edge keys lo * n + hi
@@ -94,9 +94,10 @@ class Graph:
         mask = src < self.indices
         return np.column_stack([src[mask], self.indices[mask]])
 
-    def csr(self) -> sp.csr_matrix:
+    def csr(self) -> "scipy.sparse.csr_matrix":
         """Adjacency as a scipy CSR matrix with float64 data (cached)."""
         if self._csr is None:
+            import scipy.sparse as sp
             data = np.ones(len(self.indices), dtype=np.float64)
             self._csr = sp.csr_matrix(
                 (data, self.indices.copy(), self.indptr.copy()),
@@ -269,6 +270,8 @@ def _first_cycle_lengths(g: Graph, cap, shrink: bool) -> np.ndarray:
     is a forest, m' = n' - components (counted only when m' < n'): every
     cycle not yet found lies in it.
     """
+    import scipy.sparse as sp
+    from scipy.sparse.csgraph import connected_components
     n = g.n
     lengths = np.zeros(n, dtype=np.int64)
     adj = sp.csr_matrix(
@@ -389,6 +392,7 @@ def ball(g: Graph, v: int, radius: int) -> Ball:
 def is_bipartite(g: Graph) -> bool:
     """True iff no edge joins two vertices at even hop distance from one
     root per connected component, i.e. iff the BFS parity is a 2-coloring."""
+    from scipy.sparse.csgraph import connected_components
     _, labels = connected_components(g.csr(), directed=False)
     roots = np.unique(labels, return_index=True)[1]
     side = _hop_distances(g.indptr, g.indices, roots) % 2
@@ -405,6 +409,7 @@ def is_regular(g: Graph):
 
 
 def is_connected(g: Graph) -> bool:
+    from scipy.sparse.csgraph import connected_components
     return g.n == 0 or connected_components(
         g.csr(), directed=False, return_labels=False) == 1
 

@@ -5,7 +5,8 @@ comes from the plain three-term Lanczos recurrence, which keeps no basis;
 the spectrum's ends stay on ARPACK.  Long-vector norms and dots use
 scipy.linalg.blas, the OpenBLAS pool ARPACK runs on, not numpy's separately
 bundled pool; the recurrence's dots run over fixed blocks, so lambda2 does
-not depend on the thread count.
+not depend on the thread count.  Each function imports the scipy names it
+uses when it runs, so importing this module loads no scipy.
 """
 
 from __future__ import annotations
@@ -14,8 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.sparse.linalg as spla
-from scipy.linalg import blas, eigh, eigh_tridiagonal
 
 from .graphs import (MAX_VERTICES, Graph, _hop_distances, _neighbours,
                      is_connected, is_regular)
@@ -58,6 +57,7 @@ def residual(g: Graph, v, lam: float):
 
 def norm2(x) -> float:
     """2-norm of a float vector on scipy's BLAS, the pool ARPACK uses."""
+    from scipy.linalg import blas
     return math.sqrt(blas.ddot(x, x)) if len(x) else 0.0
 
 
@@ -65,6 +65,7 @@ def _blocked_dot(x, y) -> float:
     """x . y as a sum of ddots over fixed blocks of DOT_BLOCK entries,
     each below OpenBLAS's 10000-entry threading cutoff, so it does not
     depend on the thread count, as a threaded ddot's rounding does."""
+    from scipy.linalg import blas
     return sum(blas.ddot(x[i:i + DOT_BLOCK], y[i:i + DOT_BLOCK])
                for i in range(0, len(x), DOT_BLOCK))
 
@@ -116,6 +117,7 @@ def _check_connected(g: Graph) -> None:
 def _dense(g: Graph):
     """(ascending eigenvalues, eigenvector columns, index of lambda2_abs's
     eigenvalue) from one dense eigh."""
+    from scipy.linalg import eigh
     w, vecs = eigh(g.csr().toarray())
     i2 = 0 if g.n == 1 or abs(w[0]) >= abs(w[-2]) else g.n - 2
     return w, vecs, i2
@@ -192,6 +194,7 @@ def _three_term(matvec, q):
     A q_j = beta_{j-1} q_{j-1} + alpha_j q_j + beta_j q_{j+1}.  It keeps
     q_{j-1}, q_j and A q_j only: no basis, no reorthogonalization.  The
     caller stops at a breakdown (beta_j = 0)."""
+    from scipy.linalg import blas
     prev, beta = np.zeros_like(q), 0.0
     while True:
         w = matvec(q)
@@ -216,6 +219,7 @@ def _deflated_end(run, maxiter):
     values get ghost copies, but an extreme one stays accurate (Paige
     1976), so the ends need no basis.  Raises EigensolverError after
     maxiter steps."""
+    from scipy.linalg import eigh_tridiagonal
     alpha, beta, big = [], [], 0.0
     for a_j, b_j, _ in run:
         # big: T_j's largest entry, at most the larger end's magnitude, so
@@ -240,6 +244,7 @@ def _deflated_end(run, maxiter):
 def _lanczos(matvec, k, which, v0, maxiter):
     """eigsh on the operator ``matvec``: k Ritz pairs at ``which``, for the
     spectrum's ends."""
+    import scipy.sparse.linalg as spla
     n = len(v0)
     op = spla.LinearOperator((n, n), matvec=matvec, dtype=float)
     try:
@@ -256,6 +261,7 @@ def second_eigenvector(g: Graph):
     the dense eigh's pair, or above DENSE_CUTOFF the Rayleigh quotient of
     the Ritz vector sum_j s_j q_j, which a second run of the recurrence
     sums; raises EigensolverError when Lanczos does not converge."""
+    from scipy.linalg import blas
     _check_connected(g)
     if g.n <= DENSE_CUTOFF:
         w, vecs, i2 = _dense(g)

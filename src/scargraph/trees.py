@@ -4,7 +4,7 @@ A d-ary tree of depth D has a root with d+1 children, every other internal
 vertex with d children, and all leaves at depth D.  Its radial eigenvectors
 are constant on levels, so they are governed by the (D+1)-dimensional level
 quotient matrix; everything here is computed from that quotient, never from
-the full tree.
+the full tree.  scipy's tridiagonal solver is imported on first use.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigh_tridiagonal
 
 from .graphs import MAX_VERTICES, Graph, _graph_from_half_edges
 
@@ -115,6 +114,7 @@ def radial_spectrum(d: int, depth: int) -> RadialSpectrum:
     """
     if d < 2:
         raise ValueError("branching d must be at least 2")
+    from scipy.linalg import eigh_tridiagonal
     w, vecs = eigh_tridiagonal(np.zeros(depth + 1), _symmetrized_offdiag(d, depth))
     sq = np.sqrt(np.array(level_sizes(d, depth), dtype=float))
     profiles = (vecs / sq[:, None]).T

@@ -2,6 +2,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.linalg
 from scipy.linalg import eigh
 
 from scargraph.base import lps_graph
@@ -71,6 +72,20 @@ def timeless(cert):
     """The certificate with ``created_utc`` blanked, the one field a seeded
     build does not fix."""
     return dataclasses.replace(cert, created_utc="")
+
+
+def stall_lanczos_ends(monkeypatch):
+    """Make every end solve of the three-term recurrence (the calls with
+    select="i") report the error estimate beta_k, so lambda2 never
+    converges; radial_spectrum's full solves still reach scipy."""
+    real = scipy.linalg.eigh_tridiagonal
+
+    def stalled(d, e, **kw):
+        if kw.get("select") != "i":
+            return real(d, e, **kw)
+        return np.array([1.5]), np.ones((len(d), 1))
+
+    monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", stalled)
 
 
 def brute_force_girth(g):

@@ -1,13 +1,15 @@
 import csv
 import json
+import os
 import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 from scipy.linalg import eigh
 
-from conftest import min_support_reference
-from scargraph import spectral
+from conftest import min_support_reference, stall_lanczos_ends
 from scargraph.base import lps_graph
 from scargraph.certificate import build_certificate
 from scargraph.cli import EIGENSPACE_GAP, QE_MAX_VERTICES, main, qe_rows
@@ -140,12 +142,8 @@ def test_eigensolver_failure_exits_1(lps_h, lps_sg, tmp_path, monkeypatch,
     save_edge_list(lps_h, base)
     save_edge_list(lps_sg.graph, gpath)
     build_certificate(lps_sg).save(cpath)
-
-    def stalled(d, e, select, select_range):
-        # each end's error estimate stays beta_k: the recurrence stalls
-        return np.array([1.5]), np.ones((len(d), 1))
-
-    monkeypatch.setattr(spectral, "eigh_tridiagonal", stalled)
+    # each end's error estimate stays beta_k: the recurrence stalls
+    stall_lanczos_ends(monkeypatch)
     for argv in (["base", "validate", "--graph", base, "--d", "5", "--r", "1"],
                  ["construct", "--base", base, "--d", "5", "--r", "1",
                   "--out", str(tmp_path / "out.edges"),
@@ -162,15 +160,72 @@ def test_eigensolver_failure_exits_1(lps_h, lps_sg, tmp_path, monkeypatch,
     assert not (tmp_path / "out.json").exists()
 
 
-def run_cli(*args):
-    """``python -m scargraph.cli args`` in a subprocess, killed after 60 s."""
-    import os
-    import subprocess
-    import sys
+def run_python(*args):
+    """``python args`` in a fresh interpreter that imports scargraph from
+    this checkout, killed after 60 s."""
     src = os.path.join(os.path.dirname(__file__), "..", "src")
     env = dict(os.environ, PYTHONPATH=os.path.abspath(src))
-    return subprocess.run([sys.executable, "-m", "scargraph.cli", *args],
-                          capture_output=True, text=True, env=env, timeout=60)
+    return subprocess.run([sys.executable, *args], capture_output=True,
+                          text=True, env=env, timeout=60)
+
+
+def run_cli(*args):
+    """``python -m scargraph.cli args`` in a subprocess, killed after 60 s."""
+    return run_python("-m", "scargraph.cli", *args)
+
+
+# the names of the scipy modules loaded so far
+SCIPY_LOADED = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+class TestScipyOnFirstUse:
+    """scipy is imported inside the functions that use it: importing
+    scargraph, and the commands that solve nothing, load numpy only."""
+
+    def test_import_loads_no_scipy(self):
+        modules = ", ".join(f"scargraph.{name}" for name in (
+            "graphs", "spectral", "trees", "base", "certificate", "qe",
+            "scars", "pairing", "named"))
+        done = run_python("-c", f"import json, sys, scargraph, scargraph.cli, "
+                          f"{modules}\nprint(json.dumps({SCIPY_LOADED}))")
+        assert done.returncode == 0, done.stderr
+        assert json.loads(done.stdout) == []
+
+    def test_commands_without_a_solve_load_no_scipy(self, mcgee_sg,
+                                                    tmp_path):
+        cert = str(tmp_path / "c.json")
+        build_certificate(mcgee_sg).save(cert)
+        calls = [["base", "lps", "--p", "5", "--q", "29",
+                  "--out", str(tmp_path / "h.edges")],
+                 ["pair", "--d", "3", "--depth", "3",
+                  "--out", str(tmp_path / "p.json")],
+                 ["report", "--cert", cert],
+                 ["--help"],
+                 ["pair", "--d", "three", "--depth", "3",
+                  "--out", str(tmp_path / "x.json")]]
+        # one fresh process runs every call; the last line holds, per
+        # call, its exit code and the scipy modules loaded by then
+        done = run_python("-c", "import json, sys\n"
+                          "from scargraph.cli import main\n"
+                          "seen = [(main(argv), " + SCIPY_LOADED + ")\n"
+                          "        for argv in json.loads(sys.argv[1])]\n"
+                          "print(json.dumps(seen))", json.dumps(calls))
+        assert done.returncode == 0, done.stderr
+        seen = json.loads(done.stdout.splitlines()[-1])
+        assert [code for code, _ in seen] == [0, 0, 0, 0, 2], done.stderr
+        assert [loaded for _, loaded in seen] == [[]] * 5
+
+    def test_first_use_import_changes_no_number(self, lps_h, tmp_path):
+        # LPS(5,29) is above the dense cutoff: the end solves and the
+        # recurrence import scipy in the fresh process, not here
+        graph = str(tmp_path / "h.edges")
+        save_edge_list(lps_h, graph)
+        argv = ["spectrum", "--graph", graph, "--k", "2", "--out"]
+        assert main(argv + [str(tmp_path / "here.csv")]) == 0
+        done = run_cli(*argv, str(tmp_path / "fresh.csv"))
+        assert done.returncode == 0, done.stderr
+        assert ((tmp_path / "fresh.csv").read_bytes()
+                == (tmp_path / "here.csv").read_bytes())
 
 
 class TestForestBase:

@@ -29,7 +29,7 @@ from scargraph.spectral import (DENSE_CUTOFF, LANCZOS_SEED, LANCZOS_TOL,
                                 tree_quadratic_bound_check)
 from scargraph.trees import build_dary_tree
 
-from conftest import timeless
+from conftest import stall_lanczos_ends, timeless
 
 
 class TestExtremeEigenvalues:
@@ -209,15 +209,12 @@ class TestSingleDeflatedSolve:
                                                      how_many, which):
         # LM: the three-term recurrence for lambda2, whose end estimates
         # beta_k |s_k| are made to stay beta_k; LA: ARPACK's end solve
-        def stalled_ends(d, e, select, select_range):
-            return np.array([1.5]), np.ones((len(d), 1))
-
         def stalled_eigsh(op, k, which, **kw):
             raise spla.ArpackNoConvergence("stalled", np.array([1.5]),
                                            np.zeros((op.shape[0], 1)))
 
         if which == "LM":
-            monkeypatch.setattr(spectral, "eigh_tridiagonal", stalled_ends)
+            stall_lanczos_ends(monkeypatch)
         else:
             monkeypatch.setattr(spla, "eigsh", stalled_eigsh)
         g = random_regular_graph(DENSE_CUTOFF + 2, 3, seed=1)
